@@ -17,7 +17,7 @@ from collections import Counter
 
 from graphperiod.autgroup import automorphism_group, from_combined
 from graphperiod.catalog import builtin
-from graphperiod.cohomology import build_path_cocycle, class_order_cyclic
+from graphperiod.cohomology import PathCocycle, class_order_cyclic
 from graphperiod.homology import fundamental_cycle_basis
 from graphperiod.permgroup import cyclic_subgroups
 
@@ -32,7 +32,7 @@ def main() -> int:
     graph = builtin("soccer-doubled")
     group = automorphism_group(graph)
     lattice = fundamental_cycle_basis(graph)
-    cocycle = build_path_cocycle(graph, lattice, group)
+    cocycle = PathCocycle(lattice)
 
     pairs, complete = cyclic_subgroups(
         group,

@@ -4,7 +4,7 @@ of a totally degenerate stable curve."""
 
 from .bounds import BoundsReport, analyze, period_lower_loop_summand, verify_certificate
 from .catalog import BUILTIN_NAMES, builtin
-from .cohomology import build_path_cocycle, class_order_bar, class_order_cyclic, class_order_exact
+from .cohomology import PathCocycle, class_order_bar, class_order_cyclic, class_order_exact
 from .config import Config
 from .homology import fundamental_cycle_basis
 from .multigraph import Multigraph, genus, parse_graph, serialize
@@ -16,9 +16,9 @@ __all__ = [
     "BUILTIN_NAMES",
     "Config",
     "Multigraph",
+    "PathCocycle",
     "analyze",
     "builtin",
-    "build_path_cocycle",
     "class_order_bar",
     "class_order_cyclic",
     "class_order_exact",

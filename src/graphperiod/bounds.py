@@ -10,6 +10,7 @@ computation when feasible, and propagation from invariant subgraphs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,11 +19,12 @@ from .autgroup import (
     GraphAutomorphism,
     automorphism_generators,
     automorphism_group,
+    from_combined,
     from_json_dict,
 )
 from .cohomology import PathCocycle, Unknown
 from .config import Config
-from .homology import Chain, CycleLattice, boundary, chain_action, chain_add
+from .homology import Chain, CycleLattice, boundary, chain_action, chain_add, norm
 from .multigraph import GraphError, Multigraph, genus
 from .permgroup import PermutationGroup, cyclic_subgroups, element_order, orbits
 
@@ -221,12 +223,7 @@ def period_lower_loop_summand(
             vv, k = steps[(start + i) % length]
             t, _ = g.edge_ends_idx[k]
             segment = chain_add(segment, {k: 1 if t == vv else -1})
-        total: Chain = dict(segment)
-        cur = segment
-        for _ in range(m - 1):
-            cur = chain_action(sigma, cur)
-            total = chain_add(total, cur)
-        if total == loop:
+        if norm(sigma, m, segment) == loop:
             tiled = True
             break
     if not tiled:
@@ -259,8 +256,23 @@ def _incident_vertices(g: Multigraph, edge_set: list[int]) -> set[int]:
     return out
 
 
+def _orbit_unions(
+    eorbits: list[list[int]], union_cap: int
+) -> list[tuple[tuple[int, ...], list[int]]] | None:
+    """Every nonempty union of edge orbits as (orbit indices, edge
+    indices), smallest first; None when the 2^#orbits unions exceed the
+    cap."""
+    if 2 ** len(eorbits) > union_cap:
+        return None
+    return [
+        (combo, [k for i in combo for k in eorbits[i]])
+        for r in range(1, len(eorbits) + 1)
+        for combo in itertools.combinations(range(len(eorbits)), r)
+    ]
+
+
 def index_upper_divisors(
-    g: Multigraph, group: PermutationGroup, union_cap: int = 4096
+    g: Multigraph, group: PermutationGroup, union_cap: int = Config.union_cap
 ) -> tuple[list[Certificate], list[str]]:
     """Certified divisors of the index: g-1, each edge-orbit size, twice
     each vertex-orbit size, and edge count / twice vertex count of every
@@ -312,25 +324,21 @@ def index_upper_divisors(
                 "vertices": [g.vertices[v] for v in orbit],
             },
         )
-    if 2 ** len(eorbits) <= union_cap:
-        import itertools
-
-        for r in range(1, len(eorbits) + 1):
-            for combo in itertools.combinations(range(len(eorbits)), r):
-                edges = [k for i in combo for k in eorbits[i]]
-                v0 = len(_incident_vertices(g, edges))
-                witness = {
-                    "kind": "orbit-union",
-                    "orbits": list(combo),
-                    "edge_count": len(edges),
-                    "vertex_count": v0,
-                }
-                orbit_cert(len(edges), {**witness, "kind": "orbit-union-edges"})
-                orbit_cert(2 * v0, {**witness, "kind": "orbit-union-vertices"})
-    else:
+    unions = _orbit_unions(eorbits, union_cap)
+    if unions is None:
         status.append(
             f"orbit unions not enumerated (2^{len(eorbits)} exceeds cap {union_cap})"
         )
+    for combo, edges in unions or []:
+        v0 = len(_incident_vertices(g, edges))
+        witness = {
+            "kind": "orbit-union",
+            "orbits": list(combo),
+            "edge_count": len(edges),
+            "vertex_count": v0,
+        }
+        orbit_cert(len(edges), {**witness, "kind": "orbit-union-edges"})
+        orbit_cert(2 * v0, {**witness, "kind": "orbit-union-vertices"})
     return certs, status
 
 
@@ -338,39 +346,33 @@ def index_upper_divisors(
 
 
 def invariant_subgraphs(
-    g: Multigraph, group: PermutationGroup, union_cap: int = 4096
+    g: Multigraph, group: PermutationGroup, union_cap: int = Config.union_cap
 ) -> list[Multigraph]:
     """Proper invariant subgraphs (unions of edge orbits with their incident
     vertices) that are connected and keep every vertex at degree >= 4, the
     shape required for propagating bounds from a subgraph."""
-    eorbits = _edge_orbits(g, group)
-    if 2 ** len(eorbits) > union_cap:
-        return []
-    import itertools
-
     out = []
-    for r in range(1, len(eorbits) + 1):
-        for combo in itertools.combinations(range(len(eorbits)), r):
-            edges = sorted(k for i in combo for k in eorbits[i])
-            if len(edges) == len(g.edges):
-                continue
-            vset = _incident_vertices(g, edges)
-            degree = {v: 0 for v in vset}
-            for k in edges:
-                t, h = g.edge_ends_idx[k]
-                degree[t] += 1
-                degree[h] += 1
-            if any(d < 4 for d in degree.values()):
-                continue
-            try:
-                sub = Multigraph(
-                    name=f"{g.name}/sub-{'-'.join(str(i) for i in combo)}",
-                    vertices=tuple(v for i, v in enumerate(g.vertices) if i in vset),
-                    edges=tuple(g.edges[k] for k in edges),
-                )
-            except GraphError:
-                continue
-            out.append(sub)
+    for combo, edges in _orbit_unions(_edge_orbits(g, group), union_cap) or []:
+        if len(edges) == len(g.edges):
+            continue
+        edges = sorted(edges)
+        vset = _incident_vertices(g, edges)
+        degree = {v: 0 for v in vset}
+        for k in edges:
+            t, h = g.edge_ends_idx[k]
+            degree[t] += 1
+            degree[h] += 1
+        if any(d < 4 for d in degree.values()):
+            continue
+        try:
+            sub = Multigraph(
+                name=f"{g.name}/sub-{'-'.join(str(i) for i in combo)}",
+                vertices=tuple(v for i, v in enumerate(g.vertices) if i in vset),
+                edges=tuple(g.edges[k] for k in edges),
+            )
+        except GraphError:
+            continue
+        out.append(sub)
     return out
 
 
@@ -411,15 +413,12 @@ def propagate_subgraph(
 
 
 def _scan_loops_for_sigma(
-    lattice: CycleLattice, sigma: GraphAutomorphism
+    lattice: CycleLattice, sigma: GraphAutomorphism, m: int
 ) -> list[Chain]:
-    """Candidate loops for the loop-summand rule: shortest paths from an
-    orbit representative v to sigma(v) summed over translates, plus the
-    orbit sums of fundamental cycles."""
+    """Candidate loops for the loop-summand rule, sigma of order m > 1:
+    shortest paths from an orbit representative v to sigma(v) summed over
+    translates, plus the orbit sums of fundamental cycles."""
     g = lattice.graph
-    m = element_order(sigma.combined)
-    if m == 1:
-        return []
     candidates: list[Chain] = []
     seen: set[tuple] = set()
 
@@ -448,21 +447,10 @@ def _scan_loops_for_sigma(
                 break
     for v in orbit_reps:
         path = _shortest_path_chain(g, v, sigma.vperm[v])
-        if path is None:
-            continue
-        total: Chain = dict(path)
-        cur = path
-        for _ in range(m - 1):
-            cur = chain_action(sigma, cur)
-            total = chain_add(total, cur)
-        push(total)
+        if path is not None:
+            push(norm(sigma, m, path))
     for z in lattice.basis:
-        orbit_sum: Chain = dict(z)
-        cur = z
-        for _ in range(m - 1):
-            cur = chain_action(sigma, cur)
-            orbit_sum = chain_add(orbit_sum, cur)
-        push(orbit_sum)
+        push(norm(sigma, m, z))
         if chain_action(sigma, z) == z:
             push(dict(z))
     return candidates
@@ -473,19 +461,13 @@ def _shortest_path_chain(g: Multigraph, start: int, goal: int) -> Chain | None:
     ties), None if start == goal."""
     if start == goal:
         return None
-    order = sorted(range(len(g.edges)), key=lambda k: g.edges[k].id)
-    incident: list[list[int]] = [[] for _ in g.vertices]
-    for k in order:
-        t, h = g.edge_ends_idx[k]
-        incident[t].append(k)
-        incident[h].append(k)
     prev: dict[int, tuple[int, int, int]] = {}
     frontier = [start]
     seen = {start}
     while frontier and goal not in seen:
         nxt = []
         for v in frontier:
-            for k in incident[v]:
+            for k in g.incidence[v]:
                 w = g.other_end(k, v)
                 if w not in seen:
                     seen.add(w)
@@ -518,8 +500,6 @@ def _cyclic_scan(
     """Walk cyclic subgroups (largest order first), collecting cyclic
     restriction orders and loop-summand certificates.  After scan_quota
     subgroups the scan stops early once both intervals are resolved."""
-    from . import autgroup as _ag
-
     pairs, complete = cyclic_subgroups(
         group,
         cap=config.max_enum,
@@ -553,7 +533,7 @@ def _cyclic_scan(
         ):
             break
         processed += 1
-        sigma = _ag.from_combined(g, perm)
+        sigma = from_combined(g, perm)
         n = cohomology.class_order_cyclic(cocycle, sigma)
         if n > 1:
             push(
@@ -571,7 +551,7 @@ def _cyclic_scan(
             )
             period.add_lower(n)
             index.add_lower(n)
-        for loop in _scan_loops_for_sigma(lattice, sigma):
+        for loop in _scan_loops_for_sigma(lattice, sigma, order):
             result = period_lower_loop_summand(lattice, sigma, loop)
             if isinstance(result, NotApplicable) or result == 1:
                 continue
@@ -613,7 +593,7 @@ def analyze(g: Multigraph, config: Config | None = None, _depth: int | None = No
     group = automorphism_group(g, gens)
     aut_order = group.order()
     lattice = homology.fundamental_cycle_basis(g)
-    cocycle = cohomology.build_path_cocycle(g, lattice, group)
+    cocycle = PathCocycle(lattice)
 
     period = DivisorInterval()
     index = DivisorInterval()
@@ -646,7 +626,7 @@ def analyze(g: Multigraph, config: Config | None = None, _depth: int | None = No
 
     exact = cohomology.class_order_exact(
         cocycle, group, enum_cap=config.max_enum, bar_cap=config.bar_cap,
-        seed=config.seed, scan_on_unknown=False,
+        seed=config.seed,
     )
     if isinstance(exact, Unknown):
         status.append(
@@ -758,18 +738,14 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config | None =
         result = period_lower_loop_summand(lattice, sigma, loop)
         return result == cert.divisor
     if rule == "CyclicRestriction":
-        lattice = homology.fundamental_cycle_basis(g)
-        group = automorphism_group(g)
-        cocycle = cohomology.build_path_cocycle(g, lattice, group)
+        cocycle = PathCocycle(homology.fundamental_cycle_basis(g))
         sigma = from_json_dict(g, cert.witness["automorphism"])
         return cohomology.class_order_cyclic(cocycle, sigma) == cert.divisor
     if rule == "SylowExact":
-        lattice = homology.fundamental_cycle_basis(g)
-        group = automorphism_group(g)
-        cocycle = cohomology.build_path_cocycle(g, lattice, group)
+        cocycle = PathCocycle(homology.fundamental_cycle_basis(g))
         exact = cohomology.class_order_exact(
-            cocycle, group, enum_cap=config.max_enum, bar_cap=config.bar_cap,
-            seed=config.seed, scan_on_unknown=False,
+            cocycle, automorphism_group(g), enum_cap=config.max_enum,
+            bar_cap=config.bar_cap, seed=config.seed,
         )
         return isinstance(exact, tuple) and exact[0] == cert.divisor
     if rule == "SubgraphPropagation":

@@ -5,44 +5,35 @@
     graphperiod examples list
     graphperiod examples emit NAME PATH
 
-Exit codes: 0 report produced / all oracles pass, 1 input error, 2 no bound
-established under the caps, 3 oracle mismatch.
+Exit codes: 0 report produced / all oracles pass, 1 input error (including
+an invalid cap value), 2 no bound established under the caps, 3 oracle
+mismatch, 4 soundness check failed (a bug in graphperiod, never a result).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import oracle
-from .bounds import BoundsReport, analyze
+from .bounds import BoundsReport, SoundnessError, analyze
 from .catalog import EXPECTED, builtin
 from .config import Config
 from .multigraph import GraphError, parse_graph
 
+_FLAG_FIELDS = tuple(f for f in dataclasses.fields(Config) if "help" in f.metadata)
+
 
 def _add_cap_flags(p: argparse.ArgumentParser):
-    p.add_argument("--max-enum", type=int, default=10**6,
-                   help="element enumeration cap (default 10^6)")
-    p.add_argument("--bar-cap", type=int, default=32,
-                   help="largest subgroup order for the bar complex (default 32)")
-    p.add_argument("--union-cap", type=int, default=4096,
-                   help="max edge-orbit unions enumerated (default 4096)")
-    p.add_argument("--subgraph-depth", type=int, default=1,
-                   help="invariant-subgraph recursion depth (default 1)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized scans (default 0)")
+    for f in _FLAG_FIELDS:
+        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default,
+                       help=f"{f.metadata['help']} (default {f.default})")
 
 
 def _config(args) -> Config:
-    return Config(
-        max_enum=args.max_enum,
-        bar_cap=args.bar_cap,
-        union_cap=args.union_cap,
-        subgraph_depth=args.subgraph_depth,
-        seed=args.seed,
-    )
+    return Config(**{f.name: getattr(args, f.name) for f in _FLAG_FIELDS})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,6 +90,11 @@ def cmd_analyze(args) -> int:
         print("analyze needs exactly one of PATH or --builtin", file=sys.stderr)
         return 1
     try:
+        config = _config(args)
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 1
+    try:
         if args.builtin:
             graph = builtin(args.builtin)
         else:
@@ -113,8 +109,12 @@ def cmd_analyze(args) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
     try:
-        report = analyze(graph, _config(args))
-    except Exception as exc:  # soundness errors and resource exhaustion
+        report = analyze(graph, config)
+    except SoundnessError as exc:
+        print(f"soundness check failed, this is a bug in graphperiod: {exc}",
+              file=sys.stderr)
+        return 4
+    except Exception as exc:  # resource exhaustion
         print(f"analysis failed: {exc}", file=sys.stderr)
         return 2
     if not report.period.upper and not report.index.upper and report.period.lower == 1:

@@ -21,14 +21,14 @@ import math
 from dataclasses import dataclass
 
 from .autgroup import GraphAutomorphism, from_combined, identity_automorphism
-from .homology import Chain, CycleLattice, chain_action, chain_add
+from .config import Config
+from .homology import Chain, CycleLattice, chain_action, chain_add, norm
 from .intlinalg import (
     LatticeSolver,
     Matrix,
     NoneUpTo,
     minimal_multiple_in_image,
 )
-from .multigraph import Multigraph
 from .permgroup import (
     Infeasible,
     Overflow,
@@ -41,10 +41,9 @@ from .permgroup import (
 
 @dataclass(frozen=True)
 class Unknown:
-    """Exact class order not reachable under the caps; carries the proven
-    divisibility window: lower | order | upper."""
+    """Exact class order not reachable under the caps; carries |G|, which
+    the order divides."""
 
-    lower: int
     upper: int
 
 
@@ -56,10 +55,9 @@ class PathCocycle:
     Instances are immutable and safe to share.
     """
 
-    def __init__(self, graph: Multigraph, lattice: CycleLattice, group: PermutationGroup):
-        self.graph = graph
+    def __init__(self, lattice: CycleLattice):
+        self.graph = lattice.graph
         self.lattice = lattice
-        self.group = group
         self.base_vertex = lattice.root
 
     def path_chain(self, sigma: GraphAutomorphism) -> Chain:
@@ -75,12 +73,6 @@ class PathCocycle:
 
     def value(self, s: GraphAutomorphism, t: GraphAutomorphism) -> list[int]:
         return self.lattice.coordinates(self.value_chain(s, t))
-
-
-def build_path_cocycle(
-    g: Multigraph, lattice: CycleLattice, group: PermutationGroup
-) -> PathCocycle:
-    return PathCocycle(g, lattice, group)
 
 
 @dataclass
@@ -100,26 +92,6 @@ class CocycleTable:
 
     def value(self, i: int, j: int) -> tuple[int, ...]:
         return self.values[(i, j)]
-
-
-def close_subgroup(elements: list[GraphAutomorphism]) -> list[GraphAutomorphism]:
-    """Close a list of automorphisms under composition (identity first,
-    deterministic discovery order)."""
-    ident = identity_automorphism(elements[0].graph) if elements else None
-    seen = {ident.combined: ident}
-    out = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in elements:
-                c = b.compose(a)
-                if c.combined not in seen:
-                    seen[c.combined] = c
-                    out.append(c)
-                    nxt.append(c)
-        frontier = nxt
-    return out
 
 
 def cyclic_group_elements(sigma: GraphAutomorphism) -> list[GraphAutomorphism]:
@@ -222,7 +194,7 @@ def table_vector(table: CocycleTable) -> list[int]:
     return out
 
 
-def class_order_bar(table: CocycleTable, cap: int = 32) -> int | Infeasible:
+def class_order_bar(table: CocycleTable, cap: int = Config.bar_cap) -> int | Infeasible:
     """Order of the class of the tabulated cocycle in H^2, computed against
     the bar complex: least n with n*c in the image of d^1.  |H| annihilates
     H^2, so |H| is a valid search bound."""
@@ -244,22 +216,13 @@ def class_order_cyclic(cocycle: PathCocycle, sigma: GraphAutomorphism) -> int:
     if m == 1:
         return 1
     lattice = cocycle.lattice
-
-    def norm_chain(chain: Chain) -> Chain:
-        total = dict(chain)
-        cur = chain
-        for _ in range(m - 1):
-            cur = chain_action(sigma, cur)
-            total = chain_add(total, cur)
-        return total
-
-    target = lattice.coordinates(norm_chain(cocycle.path_chain(sigma)))
+    target = lattice.coordinates(norm(sigma, m, cocycle.path_chain(sigma)))
     if all(x == 0 for x in target):
         return 1
     solver = LatticeSolver(lattice.rank)
     for z in lattice.basis:
         solver.add_generator({
-            i: x for i, x in enumerate(lattice.coordinates(norm_chain(z))) if x
+            i: x for i, x in enumerate(lattice.coordinates(norm(sigma, m, z))) if x
         })
     for n in range(1, m + 1):
         if solver.contains([n * x for x in target]):
@@ -277,37 +240,29 @@ class SylowOrder:
 def class_order_exact(
     cocycle: PathCocycle,
     group: PermutationGroup,
-    enum_cap: int = 10**6,
-    bar_cap: int = 32,
-    seed: int = 0,
-    scan_on_unknown: bool = True,
+    enum_cap: int = Config.max_enum,
+    bar_cap: int = Config.bar_cap,
+    seed: int = Config.seed,
 ) -> tuple[int, list[SylowOrder]] | Unknown:
     """Exact order of the class in H^2(G, M) as the lcm of its restrictions
     to one Sylow subgroup per prime (restriction is injective on p-primary
     parts since corestriction . restriction = index).
 
     Needs |G| within the enumeration cap and every Sylow subgroup within
-    the bar cap; otherwise returns Unknown(lower, |G|) where lower is the
-    lcm of cyclic restriction orders from a seeded scan (skippable when the
-    caller runs its own scan).
+    the bar cap; otherwise returns Unknown(|G|).
     """
     order = group.order()
     if order == 1:
         return 1, []
-    if order > enum_cap or _small_prime_parts(order, bar_cap) is None:
-        lower = (
-            _cyclic_lower_bound(cocycle, group, enum_cap, seed)
-            if scan_on_unknown
-            else 1
-        )
-        return Unknown(lower, order)
-    primes = _small_prime_parts(order, bar_cap)
+    primes = None if order > enum_cap else _small_prime_parts(order, bar_cap)
+    if primes is None:
+        return Unknown(order)
     total = 1
     parts = []
     for p, pk in primes:
         sub = sylow_subgroup(group, p, cap=enum_cap, seed=seed)
         if isinstance(sub, Infeasible):  # pragma: no cover - gated above
-            return Unknown(1, order)
+            return Unknown(order)
         elements = sub.enumerate_elements(pk)
         assert not isinstance(elements, Overflow)
         autos = [from_combined(cocycle.graph, perm) for perm in elements]
@@ -317,24 +272,6 @@ def class_order_exact(
         parts.append(SylowOrder(prime=p, subgroup_order=pk, class_order=n))
         total = math.lcm(total, n)
     return total, parts
-
-
-def _cyclic_lower_bound(
-    cocycle: PathCocycle, group: PermutationGroup, enum_cap: int, seed: int
-) -> int:
-    """lcm of restriction orders over a (possibly sampled) cyclic-subgroup
-    scan; every restriction order divides the class order, so this is a
-    proven lower bound."""
-    from .permgroup import cyclic_subgroups
-
-    pairs, _complete = cyclic_subgroups(group, cap=enum_cap, seed=seed)
-    lower = 1
-    for perm, order in sorted(pairs, key=lambda t: (-t[1], t[0])):
-        if order == 1:
-            continue
-        sigma = from_combined(cocycle.graph, perm)
-        lower = math.lcm(lower, class_order_cyclic(cocycle, sigma))
-    return lower
 
 
 def _small_prime_parts(order: int, bar_cap: int) -> list[tuple[int, int]] | None:

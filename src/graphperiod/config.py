@@ -1,18 +1,28 @@
-"""Run configuration shared by the analysis pipeline and the CLI."""
+"""Run configuration shared by the analysis pipeline and the CLI.
+
+Every cap default lives here only; library functions that take a cap
+default to the matching Config field.  Fields with a "help" entry in their
+metadata are exposed as CLI flags.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+
+
+def _flag(default: int, help_text: str):
+    """A field the CLI exposes as --<name> with this help text."""
+    return field(default=default, metadata={"help": help_text})
 
 
 @dataclass(frozen=True)
 class Config:
     # caps
-    max_enum: int = 10**6       # element-enumeration cap (exact Sylow needs it)
-    bar_cap: int = 32           # largest subgroup handled by the bar complex
-    union_cap: int = 4096       # max number of edge-orbit unions enumerated
-    subgraph_depth: int = 1     # recursion depth for invariant-subgraph analysis
-    seed: int = 0               # drives every randomized scan
+    max_enum: int = _flag(10**6, "element enumeration cap (exact Sylow needs it)")
+    bar_cap: int = _flag(32, "largest subgroup order for the bar complex")
+    union_cap: int = _flag(4096, "max edge-orbit unions enumerated")
+    subgraph_depth: int = _flag(1, "invariant-subgraph recursion depth")
+    seed: int = _flag(0, "seed for randomized scans")
     # scan budgets (documented: the certificate scan always processes at
     # least scan_quota cyclic subgroups before the early exit on a resolved
     # interval may trigger; for groups above max_enum the subgroup list is
@@ -24,17 +34,7 @@ class Config:
     max_subgroups: int = 400
 
     def __post_init__(self):
-        for name in (
-            "max_enum",
-            "bar_cap",
-            "union_cap",
-            "subgraph_depth",
-            "scan_quota",
-            "word_budget",
-            "max_word_length",
-            "max_subgroups",
-        ):
-            if getattr(self, name) < 1 and name != "subgraph_depth":
-                raise ValueError(f"{name} must be >= 1")
-        if self.subgraph_depth < 0:
-            raise ValueError("subgraph_depth must be >= 0")
+        for f in fields(self):
+            low = 0 if f.name == "subgraph_depth" else 1
+            if f.name != "seed" and getattr(self, f.name) < low:
+                raise ValueError(f"{f.name} must be >= {low}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .autgroup import GraphAutomorphism
 from .intlinalg import Matrix, diagonal, smith_normal_form
@@ -51,6 +50,17 @@ def chain_action(sigma: GraphAutomorphism, chain: Chain) -> Chain:
     return out
 
 
+def norm(sigma: GraphAutomorphism, m: int, chain: Chain) -> Chain:
+    """The orbit sum N . chain with N = 1 + sigma + ... + sigma^(m-1),
+    where m is the order of sigma."""
+    total = dict(chain)
+    cur = chain
+    for _ in range(m - 1):
+        cur = chain_action(sigma, cur)
+        total = chain_add(total, cur)
+    return total
+
+
 def boundary(g: Multigraph, chain: Chain) -> dict[int, int]:
     """Boundary in Z^V: each edge contributes head - tail."""
     out: dict[int, int] = {}
@@ -61,25 +71,6 @@ def boundary(g: Multigraph, chain: Chain) -> dict[int, int]:
     return {v: x for v, x in out.items() if x}
 
 
-@dataclass(frozen=True)
-class ChainComplex:
-    """Boundary matrix Z^E -> Z^V plus the all-ones augmentation Z^V -> Z."""
-
-    graph: Multigraph
-
-    @cached_property
-    def boundary_matrix(self) -> Matrix:
-        g = self.graph
-        rows = [[0] * len(g.edges) for _ in g.vertices]
-        for k, (t, h) in enumerate(g.edge_ends_idx):
-            rows[h][k] += 1
-            rows[t][k] -= 1
-        return rows
-
-    def augmentation(self) -> list[int]:
-        return [1] * len(self.graph.vertices)
-
-
 @dataclass
 class CycleLattice:
     """H_1(Gamma, Z) with a fundamental cycle basis and cached action
@@ -88,7 +79,6 @@ class CycleLattice:
     graph: Multigraph
     root: int
     parent: tuple[tuple[int, int, int] | None, ...]  # vertex -> (parent vertex, edge, sign)
-    tree_edges: tuple[int, ...]
     nontree: tuple[int, ...]
     basis: tuple[Chain, ...]
     _action_cache: dict = field(default_factory=dict, repr=False)
@@ -144,9 +134,6 @@ class CycleLattice:
         self._action_cache[key] = matrix
         return matrix
 
-    def action_on_coords(self, sigma: GraphAutomorphism, coords: list[int]) -> list[int]:
-        return self.coordinates(chain_action(sigma, self.from_coordinates(coords)))
-
 
 def fundamental_cycle_basis(g: Multigraph) -> CycleLattice:
     """Cycle basis from the canonical spanning tree.
@@ -156,35 +143,26 @@ def fundamental_cycle_basis(g: Multigraph) -> CycleLattice:
     the basis, and everything derived from them are deterministic.
     """
     root = g.vertex_index[min(g.vertices)]
-    order = sorted(range(len(g.edges)), key=lambda k: g.edges[k].id)
-    incident_sorted: list[list[int]] = [[] for _ in g.vertices]
-    for k in order:
-        t, h = g.edge_ends_idx[k]
-        incident_sorted[t].append(k)
-        incident_sorted[h].append(k)
-
     parent: list[tuple[int, int, int] | None] = [None] * len(g.vertices)
     visited = {root}
-    tree_edges: list[int] = []
+    tree_edges: set[int] = set()
     queue = [root]
     while queue:
         v = queue.pop(0)
-        for k in incident_sorted[v]:
+        for k in g.incidence[v]:
             w = g.other_end(k, v)
             if w not in visited:
                 visited.add(w)
                 t, _ = g.edge_ends_idx[k]
                 parent[w] = (v, k, 1 if t == v else -1)
-                tree_edges.append(k)
+                tree_edges.add(k)
                 queue.append(w)
-    tree_set = set(tree_edges)
-    nontree = tuple(k for k in order if k not in tree_set)
+    nontree = tuple(k for k in g.edges_by_id if k not in tree_edges)
 
     lattice = CycleLattice(
         graph=g,
         root=root,
         parent=tuple(parent),
-        tree_edges=tuple(sorted(tree_edges)),
         nontree=nontree,
         basis=(),
     )

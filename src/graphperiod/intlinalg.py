@@ -290,9 +290,6 @@ class LatticeSolver:
             out[k] = x
         return out
 
-    def echelon_basis(self) -> list[dict[int, int]]:
-        return [dict(r) for _, r, _ in self.rows]
-
 
 def _axpy(a: dict[int, int], b: dict[int, int], q: int) -> dict[int, int]:
     if q == 0:

@@ -13,7 +13,7 @@ degenerate stable curve: no self-loops, connected, and minimum degree 3
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 MIN_DEGREE = 3
@@ -54,9 +54,6 @@ class Edge:
     tail: str
     head: str
 
-    def ends(self) -> tuple[str, str]:
-        return (self.tail, self.head)
-
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -77,31 +74,25 @@ class Multigraph:
                 raise SelfLoop(f"edge {e.id!r} is a self-loop at {e.tail!r}")
             if e.tail not in vs or e.head not in vs:
                 raise MalformedInput(f"edge {e.id!r} has an unknown endpoint")
-        degrees = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            degrees[e.tail] += 1
-            degrees[e.head] += 1
-        for v in self.vertices:
-            if degrees[v] < MIN_DEGREE:
-                raise DegreeTooLow(v, degrees[v])
+        for v, incident in zip(self.vertices, self.incidence):
+            if len(incident) < MIN_DEGREE:
+                raise DegreeTooLow(v, len(incident))
         self._check_connected()
 
     def _check_connected(self):
         if not self.vertices:
             raise MalformedInput("graph has no vertices")
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.tail].append(e.head)
-            adj[e.head].append(e.tail)
+        seen = {0}
+        stack = [0]
         while stack:
-            for w in adj[stack.pop()]:
+            v = stack.pop()
+            for k in self.incidence[v]:
+                w = self.other_end(k, v)
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
         if len(seen) != len(self.vertices):
-            missing = sorted(set(self.vertices) - seen)[0]
+            missing = min(v for i, v in enumerate(self.vertices) if i not in seen)
             raise Disconnected(f"vertex {missing!r} is not reachable")
 
     # --- indexed views -------------------------------------------------
@@ -115,13 +106,19 @@ class Multigraph:
         return {e.id: i for i, e in enumerate(self.edges)}
 
     @cached_property
+    def edges_by_id(self) -> tuple[int, ...]:
+        """Edge indices in edge-id order."""
+        return tuple(sorted(range(len(self.edges)), key=lambda k: self.edges[k].id))
+
+    @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """For each vertex index, the indices of its incident edges."""
+        """For each vertex index, the indices of its incident edges in
+        edge-id order."""
         inc: list[list[int]] = [[] for _ in self.vertices]
-        vi = self.vertex_index
-        for k, e in enumerate(self.edges):
-            inc[vi[e.tail]].append(k)
-            inc[vi[e.head]].append(k)
+        for k in self.edges_by_id:
+            t, h = self.edge_ends_idx[k]
+            inc[t].append(k)
+            inc[h].append(k)
         return tuple(tuple(x) for x in inc)
 
     @cached_property

@@ -85,9 +85,7 @@ def suite_cyclic_vs_bar(seed: int, instances: int = 50) -> list[str]:
     done = 0
     while done < instances:
         g = random_multigraph(rng)
-        lattice = homology.fundamental_cycle_basis(g)
-        group = autgroup.automorphism_group(g)
-        cocycle = cohomology.build_path_cocycle(g, lattice, group)
+        cocycle = cohomology.PathCocycle(homology.fundamental_cycle_basis(g))
         sigma = random_automorphism(g, rng, max_order=12)
         if sigma is None:
             continue
@@ -181,12 +179,7 @@ def suite_summand_criterion(seed: int, instances: int = 25) -> list[str]:
         if rng.random() < 0.5:
             # replace by the orbit sum, a sigma-fixed element
             chain = lattice.from_coordinates(coords)
-            total = dict(chain)
-            cur = chain
-            for _ in range(sigma.order() - 1):
-                cur = homology.chain_action(sigma, cur)
-                total = homology.chain_add(total, cur)
-            coords = lattice.coordinates(total)
+            coords = lattice.coordinates(homology.norm(sigma, sigma.order(), chain))
         if all(x == 0 for x in coords):
             continue
         done += 1

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from random import Random
 
+from .config import Config
+
 Perm = tuple[int, ...]
 
 
@@ -245,10 +247,10 @@ class PermutationGroup:
 def cyclic_subgroups(
     group: PermutationGroup,
     cap: int,
-    seed: int = 0,
-    word_budget: int = 1200,
-    max_word_length: int = 12,
-    max_subgroups: int = 400,
+    seed: int = Config.seed,
+    word_budget: int = Config.word_budget,
+    max_word_length: int = Config.max_word_length,
+    max_subgroups: int = Config.max_subgroups,
 ) -> tuple[list[tuple[Perm, int]], bool]:
     """One representative generator per distinct cyclic subgroup.
 
@@ -327,7 +329,7 @@ def p_part(n: int, p: int) -> int:
 
 
 def sylow_subgroup(
-    group: PermutationGroup, p: int, cap: int, seed: int = 0
+    group: PermutationGroup, p: int, cap: int, seed: int = Config.seed
 ) -> PermutationGroup | Infeasible:
     """A Sylow p-subgroup, by enumerating elements and growing a p-subgroup
     by closure until its order reaches the p-part of |G|.

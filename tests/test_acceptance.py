@@ -18,7 +18,7 @@ from graphperiod.bounds import (
     period_lower_loop_summand,
 )
 from graphperiod.cohomology import (
-    build_path_cocycle,
+    PathCocycle,
     class_order_bar,
     class_order_cyclic,
     cyclic_group_elements,
@@ -131,8 +131,7 @@ def test_criterion_7_oracle_equivalence():
         if sigma is None:
             continue
         done += 1
-        lattice = fundamental_cycle_basis(g)
-        cocycle = build_path_cocycle(g, lattice, automorphism_group(g))
+        cocycle = PathCocycle(fundamental_cycle_basis(g))
         fast = class_order_cyclic(cocycle, sigma)
         table = restrict(cocycle, cyclic_group_elements(sigma))
         slow = class_order_bar(table, cap=16)
@@ -155,8 +154,7 @@ def test_criterion_8_property_suites():
     # cocycle identity on 1000 random triples per builtin
     for name in catalog.BUILTIN_NAMES:
         g = catalog.builtin(name)
-        lattice = fundamental_cycle_basis(g)
-        cocycle = build_path_cocycle(g, lattice, automorphism_group(g))
+        cocycle = PathCocycle(fundamental_cycle_basis(g))
         gens = automorphism_generators(g)
         for _ in range(1000):
             s, t, u = (rng.choice(gens) for _ in range(3))
@@ -191,8 +189,7 @@ def test_criterion_8_property_suites():
         mapping = {v: f"zz{len(g.vertices) - i:02d}" for i, v in enumerate(g.vertices)}
         h = relabel(g, mapping)
         l1, l2 = fundamental_cycle_basis(g), fundamental_cycle_basis(h)
-        c1 = build_path_cocycle(g, l1, automorphism_group(g))
-        c2 = build_path_cocycle(h, l2, automorphism_group(h))
+        c1, c2 = PathCocycle(l1), PathCocycle(l2)
         gens = automorphism_generators(g)
         for _ in range(4):
             a = rng.choice(gens)

@@ -10,6 +10,7 @@ from graphperiod.bounds import (
     NotAClosedChain,
     NotApplicable,
     SoundnessError,
+    _edge_orbits,
     analyze,
     chain_from_vertex_cycle,
     index_upper_divisors,
@@ -17,7 +18,7 @@ from graphperiod.bounds import (
     period_lower_loop_summand,
     verify_certificate,
 )
-from graphperiod.cohomology import build_path_cocycle, class_order_cyclic
+from graphperiod.cohomology import PathCocycle, class_order_cyclic
 from graphperiod.config import Config
 from graphperiod.homology import fundamental_cycle_basis
 
@@ -99,7 +100,7 @@ class TestLoopSummand:
 
     def test_firing_rule_divides_cyclic_order(self):
         g, lattice = k5_setup()
-        cocycle = build_path_cocycle(g, lattice, automorphism_group(g))
+        cocycle = PathCocycle(lattice)
         sigma = vertex_cycle_automorphism(g, ["v1", "v2", "v3", "v4", "v5"])
         loop = chain_from_vertex_cycle(g, ["v1", "v2", "v3", "v4", "v5"])
         m = period_lower_loop_summand(lattice, sigma, loop)
@@ -139,6 +140,23 @@ class TestInvariantSubgraphs:
     def test_doubled_cycle_has_none(self):
         g = catalog.builtin("doubled-cycle-g5")
         assert invariant_subgraphs(g, automorphism_group(g)) == []
+
+    def test_union_cap_shared_with_index_divisors(self):
+        # one cap check gates both enumerations: at 2^#orbits the unions
+        # are enumerated, one below they are skipped by both, and the
+        # orbit rule notes the skip exactly when no subgraph is returned
+        g = catalog.builtin("hybrid")
+        group = automorphism_group(g)
+        n = len(_edge_orbits(g, group))
+        for cap, enumerated in ((2**n, True), (2**n - 1, False)):
+            certs, status = index_upper_divisors(g, group, union_cap=cap)
+            subs = invariant_subgraphs(g, group, union_cap=cap)
+            kinds = {c.witness.get("kind") for c in certs}
+            assert ("orbit-union-edges" in kinds) == enumerated
+            assert bool(subs) == enumerated
+            assert status == ([] if enumerated else [
+                f"orbit unions not enumerated (2^{n} exceeds cap {cap})"
+            ])
 
     def test_hybrid_contains_doubled_cycle(self):
         g = catalog.builtin("hybrid")

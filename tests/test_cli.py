@@ -90,3 +90,24 @@ def test_render_text_contains_certificates():
     text = render_text(report)
     assert "LoopSummand" in text
     assert "graph: k5" in text
+
+
+def test_invalid_cap_is_input_error(capsys):
+    code = main(["analyze", "--builtin", "k5", "--bar-cap", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "bar_cap must be >= 1" in err
+
+
+def test_soundness_error_has_its_own_exit_code(monkeypatch, capsys):
+    from graphperiod import cli
+    from graphperiod.bounds import SoundnessError
+
+    def broken(graph, config):
+        raise SoundnessError("lower bound 4 does not divide upper 6")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    code = main(["analyze", "--builtin", "k5"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "bug" in err and "does not divide" in err

@@ -5,12 +5,13 @@ import pytest
 from graphperiod import catalog
 from graphperiod.autgroup import automorphism_generators, identity_automorphism
 from graphperiod.homology import (
-    ChainComplex,
     boundary,
     chain_action,
+    chain_add,
     coinvariant_primitive,
     fundamental_cycle_basis,
     invariant_functional_gcd,
+    norm,
     verify_basis,
 )
 from graphperiod.intlinalg import det_bareiss
@@ -41,13 +42,13 @@ def test_tree_plus_one_edge_rank_one():
 
 
 def test_augmentation_kills_boundary():
+    # the augmentation Z^V -> Z sums coefficients, so it kills the
+    # boundary head - tail of every edge
     g = catalog.builtin("k5")
-    cx = ChainComplex(g)
-    d = cx.boundary_matrix
-    aug = cx.augmentation()
-    for j in range(len(g.edges)):
-        col = [d[i][j] for i in range(len(g.vertices))]
-        assert sum(a * x for a, x in zip(aug, col)) == 0
+    for k in range(len(g.edges)):
+        d = boundary(g, {k: 1})
+        assert len(d) == 2
+        assert sum(d.values()) == 0
 
 
 def test_basis_cycles_are_closed():
@@ -169,6 +170,29 @@ def test_primitivity_verdict_independent_of_spanning_tree():
     assert coinvariant_primitive(L1, rot5, L1.coordinates(pent1)) == coinvariant_primitive(
         L2, rot5h, L2.coordinates(pent1)
     )
+
+
+def test_norm_of_order_one_is_the_chain():
+    g = catalog.builtin("k5")
+    chain = {0: 2, 3: -1}
+    assert norm(identity_automorphism(g), 1, chain) == chain
+
+
+def test_norm_is_invariant_and_sums_translates():
+    rng = Random(5)
+    for name in ("k5", "doubled-k4", "hybrid"):
+        g = catalog.builtin(name)
+        for sigma in automorphism_generators(g)[:6]:
+            m = sigma.order()
+            chain = {rng.randrange(len(g.edges)): rng.choice([-2, -1, 1, 3]) for _ in range(5)}
+            total = norm(sigma, m, chain)
+            assert chain_action(sigma, total) == total
+            explicit: dict[int, int] = {}
+            power = identity_automorphism(g)
+            for _ in range(m):
+                explicit = chain_add(explicit, chain_action(power, chain))
+                power = sigma.compose(power)
+            assert total == explicit
 
 
 def test_coordinates_rejects_non_cycles():

@@ -1,0 +1,36 @@
+"""Default reports are pinned byte for byte.
+
+The hashes are sha256(json.dumps(report.to_json_dict(), indent=2) + "\\n")
+at Config() for the nine small builtins, recorded when the catalog was
+frozen into perfbench/graphs/ (its reference.json, "catalog-small").  They
+are copied here on purpose: a change that alters a report must update this
+table and say so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from graphperiod import catalog
+from graphperiod.bounds import analyze
+from graphperiod.config import Config
+
+REPORT_SHA256 = {
+    "doubled-cycle-g3": "2939007f6335de56a77b35283d558764ee886a545ed3b0b8e759c7b605c88bb8",
+    "doubled-cycle-g4": "29d48f9f09d842d9ba6e79af90ec9f61580d01a2ae3ab52a8f5a8924cc852ef6",
+    "doubled-cycle-g5": "14793a4e3edd1491ad206fe6fc3c421b0797991d5de17e57371b44b02e8ae2cb",
+    "doubled-cycle-g6": "d7c49e68be2a634e9fffd17d64be7a3760946ac919ab810b7da3f29828a80629",
+    "doubled-cycle-g7": "79ac262d29692640d26c9989f6dadc5fa65d0b350381bb700f7bcb25768897f4",
+    "doubled-cycle-g8": "00879e7bd727aef55fcf9fa253b2304fe0908cdb752edb2959359b5b04fd0ae9",
+    "doubled-k4": "3c116b8c90f0d369594e8a0a325c9e3faf0cc556aa8cec0cae1bf29822bec61c",
+    "k34": "249d3b478215f2f2a5f1c845826a8a1bdc6ece42021bfc85db0124d1bd09b3b0",
+    "k5": "4287c61d139d97ddd9557d0c56a861e44dffc64b85564fbb9c30ababbc498117",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_default_report_hash(name):
+    report = analyze(catalog.builtin(name), Config())
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]
