@@ -12,12 +12,14 @@ Usage: python scripts/probe_open_case.py [--words N] [--subgroups N] [--seed N]
 """
 
 import argparse
+import math
 import sys
 from collections import Counter
 
 from graphperiod.autgroup import automorphism_group, from_combined
 from graphperiod.catalog import builtin
 from graphperiod.cohomology import PathCocycle, class_order_cyclic
+from graphperiod.config import Config
 from graphperiod.homology import fundamental_cycle_basis
 from graphperiod.permgroup import cyclic_subgroups
 
@@ -36,7 +38,7 @@ def main() -> int:
 
     pairs, complete = cyclic_subgroups(
         group,
-        cap=10**6,
+        cap=Config.max_enum,
         seed=args.seed,
         word_budget=args.words,
         max_word_length=16,
@@ -45,8 +47,6 @@ def main() -> int:
     print(f"sampled {len(pairs)} cyclic subgroups (complete scan: {complete})")
     table = Counter()
     lower = 1
-    import math
-
     for perm, order in pairs:
         sigma = from_combined(graph, perm)
         n = class_order_cyclic(cocycle, sigma)

@@ -52,6 +52,11 @@ class GraphAutomorphism:
         it, _ = self.graph.edge_ends_idx[self.eperm[edge_idx]]
         return 1 if self.vperm[t] == it else -1
 
+    @cached_property
+    def signed_eperm(self) -> tuple[tuple[int, int], ...]:
+        """(image edge, edge_sign) for every edge, in edge-index order."""
+        return tuple((x, self.edge_sign(k)) for k, x in enumerate(self.eperm))
+
     def compose(self, other: "GraphAutomorphism") -> "GraphAutomorphism":
         """self after other (left action)."""
         return GraphAutomorphism(

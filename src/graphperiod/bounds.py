@@ -499,7 +499,14 @@ def _cyclic_scan(
 ):
     """Walk cyclic subgroups (largest order first), collecting cyclic
     restriction orders and loop-summand certificates.  After scan_quota
-    subgroups the scan stops early once both intervals are resolved."""
+    subgroups the scan stops early once both intervals are resolved.
+
+    The loop search for sigma is skipped when a LoopSummand certificate
+    for its order is already held, and it stops at the first loop that
+    certifies.  Both are exact: the rule certifies exactly element_order
+    (sigma), and certificates are kept once per (rule, divisor), so any
+    skipped test could only have yielded a discarded duplicate and an
+    add_lower of a divisor already present."""
     pairs, complete = cyclic_subgroups(
         group,
         cap=config.max_enum,
@@ -551,6 +558,8 @@ def _cyclic_scan(
             )
             period.add_lower(n)
             index.add_lower(n)
+        if ("LoopSummand", order) in seen:
+            continue
         for loop in _scan_loops_for_sigma(lattice, sigma, order):
             result = period_lower_loop_summand(lattice, sigma, loop)
             if isinstance(result, NotApplicable) or result == 1:
@@ -569,6 +578,7 @@ def _cyclic_scan(
             )
             period.add_lower(result)
             index.add_lower(result)
+            break
 
 
 def _loop_witness(g: Multigraph, loop: Chain) -> list[dict]:

@@ -5,6 +5,9 @@
     graphperiod examples list
     graphperiod examples emit NAME PATH
 
+The cap flags and --seed are generated from the Config fields that carry
+CLI help; analyze takes all of them, oracle only --seed.
+
 Exit codes: 0 report produced / all oracles pass, 1 input error (including
 an invalid cap value), 2 no bound established under the caps, 3 oracle
 mismatch, 4 soundness check failed (a bug in graphperiod, never a result).
@@ -26,10 +29,12 @@ from .multigraph import GraphError, parse_graph
 _FLAG_FIELDS = tuple(f for f in dataclasses.fields(Config) if "help" in f.metadata)
 
 
-def _add_cap_flags(p: argparse.ArgumentParser):
+def _add_cap_flags(p: argparse.ArgumentParser, names: tuple[str, ...] | None = None):
+    """--<field> flags for the Config fields with CLI help, or only those named."""
     for f in _FLAG_FIELDS:
-        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default,
-                       help=f"{f.metadata['help']} (default {f.default})")
+        if names is None or f.name in names:
+            p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default,
+                           help=f"{f.metadata['help']} (default {f.default})")
 
 
 def _config(args) -> Config:
@@ -52,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cap_flags(p_an)
 
     p_or = sub.add_parser("oracle", help="run the cross-check suites")
-    _add_cap_flags(p_or)
+    _add_cap_flags(p_or, ("seed",))
 
     p_ex = sub.add_parser("examples", help="list builtins or emit one as JSON")
     ex_sub = p_ex.add_subparsers(dest="examples_command", required=True)

@@ -43,10 +43,11 @@ def chain_action(sigma: GraphAutomorphism, chain: Chain) -> Chain:
     """Push a chain forward along an automorphism, with sign -1 on every
     edge whose reference orientation is reversed (tail not mapped to tail).
     This is the unique sign convention making the boundary equivariant."""
+    signed = sigma.signed_eperm
     out: Chain = {}
-    eperm = sigma.eperm
     for k, x in chain.items():
-        out[eperm[k]] = sigma.edge_sign(k) * x
+        image, sign = signed[k]
+        out[image] = sign * x
     return out
 
 
@@ -73,8 +74,10 @@ def boundary(g: Multigraph, chain: Chain) -> dict[int, int]:
 
 @dataclass
 class CycleLattice:
-    """H_1(Gamma, Z) with a fundamental cycle basis and cached action
-    matrices.  Immutable after construction apart from the cache."""
+    """H_1(Gamma, Z) with a fundamental cycle basis.  Immutable after
+    construction apart from its caches: root paths by vertex, and per
+    automorphism (keyed by sigma.combined) the action matrix and the
+    coinvariant rows used by coinvariant_primitive."""
 
     graph: Multigraph
     root: int
@@ -83,6 +86,7 @@ class CycleLattice:
     basis: tuple[Chain, ...]
     _action_cache: dict = field(default_factory=dict, repr=False)
     _root_path_cache: dict = field(default_factory=dict, repr=False)
+    _coinvariant_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def rank(self) -> int:
@@ -105,15 +109,14 @@ class CycleLattice:
 
     def coordinates(self, chain: Chain) -> list[int]:
         """Basis coordinates of a cycle: its non-tree edge values.  Raises
-        if the chain is not in the lattice (i.e. not a cycle)."""
-        coords = [chain.get(e, 0) for e in self.nontree]
-        recomposed: Chain = {}
-        for c, z in zip(coords, self.basis):
-            if c:
-                recomposed = chain_add(recomposed, z, c)
-        if recomposed != {k: x for k, x in chain.items() if x}:
+        if the chain is not in the lattice (i.e. not a cycle).
+
+        Checking the boundary suffices: a cycle minus the basis combination
+        with the same non-tree values is a cycle on tree edges only, and a
+        forest carries no nonzero cycle."""
+        if boundary(self.graph, chain):
             raise ValueError("chain is not a cycle of the graph")
-        return coords
+        return [chain.get(e, 0) for e in self.nontree]
 
     def from_coordinates(self, coords: list[int]) -> Chain:
         out: Chain = {}
@@ -206,13 +209,19 @@ def coinvariant_primitive(
     equivariant projection onto the element is an invariant functional
     sending it to 1, and invariant functionals factor through the
     coinvariants."""
-    a = lattice.action_matrix(sigma)
-    n = lattice.rank
-    d = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    u, s, _ = smith_normal_form(d)
-    diag = diagonal(s)
-    y = [sum(u[i][j] * coords[j] for j in range(n)) for i in range(n)]
-    free = [y[i] for i in range(n) if i >= len(diag) or diag[i] == 0]
+    key = sigma.combined
+    free_rows = lattice._coinvariant_cache.get(key)
+    if free_rows is None:
+        # U (A - I) V = S; the rows of U at the zero (or missing) diagonal
+        # entries of S map M onto the free part of the coinvariants.
+        a = lattice.action_matrix(sigma)
+        n = lattice.rank
+        d = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+        u, s, _ = smith_normal_form(d)
+        diag = diagonal(s)
+        free_rows = [u[i] for i in range(n) if i >= len(diag) or diag[i] == 0]
+        lattice._coinvariant_cache[key] = free_rows
+    free = [sum(x * c for x, c in zip(row, coords)) for row in free_rows]
     return math.gcd(*free) == 1 if free else False
 
 

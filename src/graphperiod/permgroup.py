@@ -40,7 +40,7 @@ def identity(n: int) -> Perm:
 
 
 def mul(p: Perm, q: Perm) -> Perm:
-    return tuple(p[x] for x in q)
+    return tuple([p[x] for x in q])
 
 
 def inverse(p: Perm) -> Perm:
@@ -275,22 +275,24 @@ def cyclic_subgroups(
         complete = True
         elements = enum
 
-    found: dict[frozenset[Perm], tuple[Perm, int]] = {}
+    # <q> is already recorded exactly when q generates a recorded subgroup,
+    # i.e. is some power r^k, gcd(k, |r|) = 1, of a recorded generator r.
     ident = identity(group.degree)
-    found[frozenset([ident])] = (ident, 1)
+    found: list[tuple[Perm, int]] = [(ident, 1)]
+    generators: set[Perm] = {ident}
     for p in elements:
         for q, m in _prime_power_parts(p):
             if not complete and len(found) >= max_subgroups:
-                return sorted(found.values(), key=lambda t: (t[1], t[0])), False
-            powers = [ident]
+                return sorted(found, key=lambda t: (t[1], t[0])), False
+            if q in generators:
+                continue
+            found.append((q, m))
             cur = q
-            while cur != ident:
-                powers.append(cur)
+            for k in range(1, m):
+                if math.gcd(k, m) == 1:
+                    generators.add(cur)
                 cur = mul(q, cur)
-            key = frozenset(powers)
-            if key not in found:
-                found[key] = (q, m)
-    return sorted(found.values(), key=lambda t: (t[1], t[0])), complete
+    return sorted(found, key=lambda t: (t[1], t[0])), complete
 
 
 def _prime_power_parts(p: Perm) -> list[tuple[Perm, int]]:

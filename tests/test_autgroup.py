@@ -83,3 +83,12 @@ def test_from_combined_roundtrip():
     g = catalog.builtin("k5")
     for a in automorphism_generators(g)[:8]:
         assert from_combined(g, a.combined) == a
+
+
+def test_signed_eperm_matches_edge_sign():
+    for name in ("k5", "hybrid"):
+        g = catalog.builtin(name)
+        for a in automorphism_generators(g):
+            assert len(a.signed_eperm) == len(g.edges)
+            for k, pair in enumerate(a.signed_eperm):
+                assert pair == (a.eperm[k], a.edge_sign(k))

@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from graphperiod import catalog
-from graphperiod.cli import main, render_text
+from graphperiod.cli import build_parser, main, render_text
 
 
 def test_analyze_builtin_json(capsys):
@@ -111,3 +113,11 @@ def test_soundness_error_has_its_own_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "bug" in err and "does not divide" in err
+
+
+def test_oracle_takes_only_the_seed_flag(capsys):
+    assert build_parser().parse_args(["oracle", "--seed", "3"]).seed == 3
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["oracle", "--bar-cap", "8"])
+    assert exc.value.code == 2
+    assert "--bar-cap" in capsys.readouterr().err

@@ -200,3 +200,42 @@ def test_coordinates_rejects_non_cycles():
     L = fundamental_cycle_basis(g)
     with pytest.raises(ValueError):
         L.coordinates({0: 1})
+
+
+def test_coinvariant_primitive_one_smith_form_per_automorphism(monkeypatch):
+    from graphperiod import homology
+    from graphperiod.bounds import chain_from_vertex_cycle
+
+    g = catalog.builtin("k5")
+    L = fundamental_cycle_basis(g)
+    rot5 = vertex_cycle_automorphism(g, ["v1", "v2", "v3", "v4", "v5"])
+    rot3 = vertex_cycle_automorphism(g, ["v1", "v2", "v3"])
+    pentagon = L.coordinates(chain_from_vertex_cycle(g, ["v1", "v2", "v3", "v4", "v5"]))
+    rng = Random(11)
+    vectors = [pentagon, [2 * x for x in pentagon]]
+    vectors += [[int(i == j) for j in range(L.rank)] for i in range(L.rank)]
+    vectors += [[rng.randint(-2, 2) for _ in range(L.rank)] for _ in range(8)]
+    calls = []
+    snf = homology.smith_normal_form
+    monkeypatch.setattr(homology, "smith_normal_form", lambda a: calls.append(1) or snf(a))
+    verdicts = [
+        (sigma, coords, coinvariant_primitive(L, sigma, coords))
+        for _ in range(2)
+        for coords in vectors
+        for sigma in (rot5, rot3)
+    ]
+    assert len(calls) == 2
+    for sigma, coords, verdict in verdicts:
+        assert verdict == (invariant_functional_gcd(L, sigma, coords) == 1)
+    assert any(v for _, _, v in verdicts) and not all(v for _, _, v in verdicts)
+
+
+def test_coordinates_rejects_an_extra_tree_edge():
+    g = catalog.builtin("k5")
+    L = fundamental_cycle_basis(g)
+    z = L.basis[0]
+    tree_edge = min(set(range(len(g.edges))) - set(L.nontree) - set(z))
+    chain = chain_add(z, {tree_edge: 1})
+    assert [chain.get(e, 0) for e in L.nontree] == L.coordinates(z)
+    with pytest.raises(ValueError):
+        L.coordinates(chain)

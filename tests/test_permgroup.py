@@ -7,6 +7,7 @@ from graphperiod.permgroup import (
     NotPrime,
     Overflow,
     PermutationGroup,
+    _prime_power_parts,
     cyclic_subgroups,
     element_order,
     identity,
@@ -130,3 +131,31 @@ def test_orbits():
     rot = (1, 2, 0, 4, 3)
     out = orbits(5, [rot], list(range(5)))
     assert out == [[0, 1, 2], [3, 4]]
+
+
+def _generated(q):
+    powers = {identity(len(q))}
+    cur = q
+    while cur not in powers:
+        powers.add(cur)
+        cur = mul(q, cur)
+    return frozenset(powers)
+
+
+@pytest.mark.parametrize("name", ["doubled-k4", "hybrid"])
+def test_cyclic_subgroups_match_bruteforce(name):
+    """Deduplicating <q> by the frozenset of its powers, over every
+    element and its prime-power parts in enumeration order, gives the same
+    representatives; and every cyclic subgroup of the group is found."""
+    group = automorphism_group(catalog.builtin(name))
+    elements = group.enumerate_elements(10**6)
+    subgroup = {p: _generated(p) for p in elements}
+    first_seen = {}
+    for p in elements:
+        for q, m in _prime_power_parts(p):
+            first_seen.setdefault(subgroup[q], (q, m))
+    pairs, complete = cyclic_subgroups(group, cap=10**6)
+    assert complete
+    assert pairs == sorted(first_seen.values(), key=lambda t: (t[1], t[0]))
+    assert set(first_seen) == set(subgroup.values())
+    assert all(element_order(q) == m == len(subgroup[q]) for q, m in pairs)

@@ -1,10 +1,12 @@
 """Default reports are pinned byte for byte.
 
 The hashes are sha256(json.dumps(report.to_json_dict(), indent=2) + "\\n")
-at Config() for the nine small builtins, recorded when the catalog was
-frozen into perfbench/graphs/ (its reference.json, "catalog-small").  They
-are copied here on purpose: a change that alters a report must update this
-table and say so in CHANGES.md.
+at Config(), recorded when the catalog was frozen into perfbench/graphs/:
+the nine small builtins from its reference.json entry "catalog-small",
+soccer-doubled from "soccer-sampled" and hybrid from "hybrid-enum" (both
+workloads run at the values of Config()).  They are copied here on purpose:
+a change that alters a report must update this table and say so in
+CHANGES.md.
 """
 
 import hashlib
@@ -26,6 +28,9 @@ REPORT_SHA256 = {
     "doubled-k4": "3c116b8c90f0d369594e8a0a325c9e3faf0cc556aa8cec0cae1bf29822bec61c",
     "k34": "249d3b478215f2f2a5f1c845826a8a1bdc6ece42021bfc85db0124d1bd09b3b0",
     "k5": "4287c61d139d97ddd9557d0c56a861e44dffc64b85564fbb9c30ababbc498117",
+    # the two large reports: sampled cyclic scan, and full enumeration
+    "soccer-doubled": "e6b3faac1f1dfa4f6398f68a09a4f8736c64c025385060d3948ea266b53d4a38",
+    "hybrid": "6a04368e2483525beb2fdb7c77e620482ec70d762d962c42723bd8d9ad3953b3",
 }
 
 
