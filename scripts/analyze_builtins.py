@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Run the full analysis on every builtin graph and print a verdict table.
+"""Run the full analysis on every builtin graph, re-verify every certificate
+of each report, and print a verdict table.
+
+Each row gives the analysis and verification seconds and how many
+certificates failed to re-verify.  Exits 1 if any certificate is rejected.
 
 Usage: python scripts/analyze_builtins.py [--json] [--seed N]
 """
@@ -9,7 +13,7 @@ import json
 import sys
 import time
 
-from graphperiod.bounds import analyze
+from graphperiod.bounds import analyze, verify_certificate
 from graphperiod.catalog import BUILTIN_NAMES, builtin
 from graphperiod.config import Config
 
@@ -20,22 +24,33 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    rows = []
+    config = Config(seed=args.seed)
+    reports = []
+    total_rejected = 0
     for name in BUILTIN_NAMES:
+        g = builtin(name)
         start = time.monotonic()
-        report = analyze(builtin(name), Config(seed=args.seed))
+        report = analyze(g, config)
         elapsed = time.monotonic() - start
-        rows.append((name, report, elapsed))
+        start = time.monotonic()
+        rejected = sum(not verify_certificate(g, c, config) for c in report.certificates)
+        verify_s = time.monotonic() - start
+        total_rejected += rejected
+        reports.append(report)
         if not args.json:
             per, ind = report.period, report.index
             fmt = lambda iv: str(iv.lower) if iv.resolved else f"{iv.lower}..{iv.upper}"
             print(
                 f"{name:<18} genus {report.genus:<3} |Aut| {report.aut_order:<14} "
                 f"period {fmt(per):<7} index {fmt(ind):<7} "
-                f"certs {len(report.certificates):<3} {elapsed:6.1f}s"
+                f"certs {len(report.certificates):<3} {elapsed:6.1f}s  "
+                f"verify {verify_s:5.2f}s rejected {rejected}"
             )
     if args.json:
-        print(json.dumps([r.to_json_dict() for _, r, _ in rows], indent=2))
+        print(json.dumps([r.to_json_dict() for r in reports], indent=2))
+    if total_rejected:
+        print(f"{total_rejected} certificate(s) failed to re-verify", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -101,15 +101,33 @@ def from_combined(g: Multigraph, p: Perm) -> GraphAutomorphism:
     )
 
 
+def _perm_from_map(index: dict[str, int], id_map, what: str) -> tuple[int, ...]:
+    """The index permutation of an id -> id map whose keys and values are
+    each exactly the ids of index; ValueError otherwise."""
+    if (
+        not isinstance(id_map, dict)
+        or id_map.keys() != index.keys()
+        or not all(isinstance(x, str) for x in id_map.values())
+        or set(id_map.values()) != index.keys()
+    ):
+        raise ValueError(f"{what} is not a permutation of the graph's ids")
+    perm = [0] * len(index)
+    for a, b in id_map.items():
+        perm[index[a]] = index[b]
+    return tuple(perm)
+
+
 def from_json_dict(g: Multigraph, d: dict) -> GraphAutomorphism:
-    vi, ei = g.vertex_index, g.edge_index
-    vperm = [0] * len(g.vertices)
-    for v, w in d["vertex_map"].items():
-        vperm[vi[v]] = vi[w]
-    eperm = [0] * len(g.edges)
-    for a, b in d["edge_map"].items():
-        eperm[ei[a]] = ei[b]
-    return GraphAutomorphism(g, tuple(vperm), tuple(eperm))
+    """Inverse of GraphAutomorphism.to_json_dict.  Raises ValueError unless
+    both maps permute exactly the graph's vertex ids and edge ids and the
+    pair preserves incidence."""
+    if not isinstance(d, dict) or d.keys() != {"vertex_map", "edge_map"}:
+        raise ValueError("automorphism must have exactly vertex_map and edge_map")
+    return GraphAutomorphism(
+        g,
+        _perm_from_map(g.vertex_index, d["vertex_map"], "vertex_map"),
+        _perm_from_map(g.edge_index, d["edge_map"], "edge_map"),
+    )
 
 
 # --- quotient vertex automorphisms by individualization-refinement --------
@@ -216,11 +234,20 @@ def automorphism_generators(g: Multigraph) -> list[GraphAutomorphism]:
     return out
 
 
-def automorphism_group(g: Multigraph, gens: list[GraphAutomorphism] | None = None) -> PermutationGroup:
-    if gens is None:
+def automorphism_group(g: Multigraph) -> PermutationGroup:
+    """Aut(g) on the points of GraphAutomorphism.combined, built once per
+    graph object: the first call stores the group on g, as cached_property
+    stores Multigraph.incidence, and later calls return that same group.
+    This is sound because g and PermutationGroup are both immutable and the
+    group is a deterministic function of g.  Another object for the same
+    graph, such as a fresh parse, builds its own group."""
+    group = g.__dict__.get("_automorphism_group")
+    if group is None:
         gens = automorphism_generators(g)
-    degree = len(g.vertices) + len(g.edges)
-    return PermutationGroup(degree, [a.combined for a in gens])
+        degree = len(g.vertices) + len(g.edges)
+        group = PermutationGroup(degree, [a.combined for a in gens])
+        g.__dict__["_automorphism_group"] = group
+    return group
 
 
 def count_automorphisms_bruteforce(g: Multigraph) -> int:

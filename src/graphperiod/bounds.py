@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from . import cohomology, homology
 from .autgroup import (
     GraphAutomorphism,
-    automorphism_generators,
     automorphism_group,
     from_combined,
     from_json_dict,
@@ -28,16 +27,17 @@ from .homology import Chain, CycleLattice, boundary, chain_action, chain_add, no
 from .multigraph import GraphError, Multigraph, genus
 from .permgroup import PermutationGroup, cyclic_subgroups, element_order, orbits
 
-RULES = (
-    "GenusIndex",
-    "OrbitSubgraph",
-    "AutOrder",
-    "LoopSummand",
-    "CyclicRestriction",
-    "SylowExact",
-    "SubgraphPropagation",
-    "PeriodDividesIndex",
-)
+# Every certificate rule, with the targets it bounds and its direction.
+RULES = {
+    "GenusIndex": (("index",), "upper"),
+    "OrbitSubgraph": (("index",), "upper"),
+    "AutOrder": (("period",), "upper"),
+    "LoopSummand": (("period",), "lower"),
+    "CyclicRestriction": (("period",), "lower"),
+    "SylowExact": (("period",), "lower"),
+    "SubgraphPropagation": (("period", "index"), "upper"),
+    "PeriodDividesIndex": (("index",), "lower"),
+}
 
 
 class SoundnessError(AssertionError):
@@ -256,6 +256,10 @@ def _incident_vertices(g: Multigraph, edge_set: list[int]) -> set[int]:
     return out
 
 
+def _union_edges(eorbits: list[list[int]], combo) -> list[int]:
+    return [k for i in combo for k in eorbits[i]]
+
+
 def _orbit_unions(
     eorbits: list[list[int]], union_cap: int
 ) -> list[tuple[tuple[int, ...], list[int]]] | None:
@@ -265,9 +269,40 @@ def _orbit_unions(
     if 2 ** len(eorbits) > union_cap:
         return None
     return [
-        (combo, [k for i in combo for k in eorbits[i]])
+        (combo, _union_edges(eorbits, combo))
         for r in range(1, len(eorbits) + 1)
         for combo in itertools.combinations(range(len(eorbits)), r)
+    ]
+
+
+def _orbit_witnesses(
+    g: Multigraph, eorbits: list[list[int]], vorbits: list[list[int]]
+) -> list[tuple[int, dict]]:
+    """(divisor, witness) of the OrbitSubgraph certificate of every edge
+    orbit (its size) and every vertex orbit (twice its size)."""
+    return [
+        (len(orbit), {"kind": "edge-orbit", "edges": [g.edges[k].id for k in orbit]})
+        for orbit in eorbits
+    ] + [
+        (
+            2 * len(orbit),
+            {"kind": "vertex-orbit-doubled", "vertices": [g.vertices[v] for v in orbit]},
+        )
+        for orbit in vorbits
+    ]
+
+
+def _orbit_union_witnesses(g: Multigraph, combo, edges: list[int]) -> list[tuple[int, dict]]:
+    """(divisor, witness) of the two OrbitSubgraph certificates of one
+    union of edge orbits: its edge count and twice its vertex count."""
+    counts = {
+        "orbits": list(combo),
+        "edge_count": len(edges),
+        "vertex_count": len(_incident_vertices(g, edges)),
+    }
+    return [
+        (counts["edge_count"], {"kind": "orbit-union-edges", **counts}),
+        (2 * counts["vertex_count"], {"kind": "orbit-union-vertices", **counts}),
     ]
 
 
@@ -308,37 +343,16 @@ def index_upper_divisors(
                 )
             )
 
-    for orbit in eorbits:
-        orbit_cert(
-            len(orbit),
-            {
-                "kind": "edge-orbit",
-                "edges": [g.edges[k].id for k in orbit],
-            },
-        )
-    for orbit in vorbits:
-        orbit_cert(
-            2 * len(orbit),
-            {
-                "kind": "vertex-orbit-doubled",
-                "vertices": [g.vertices[v] for v in orbit],
-            },
-        )
+    for divisor, witness in _orbit_witnesses(g, eorbits, vorbits):
+        orbit_cert(divisor, witness)
     unions = _orbit_unions(eorbits, union_cap)
     if unions is None:
         status.append(
             f"orbit unions not enumerated (2^{len(eorbits)} exceeds cap {union_cap})"
         )
     for combo, edges in unions or []:
-        v0 = len(_incident_vertices(g, edges))
-        witness = {
-            "kind": "orbit-union",
-            "orbits": list(combo),
-            "edge_count": len(edges),
-            "vertex_count": v0,
-        }
-        orbit_cert(len(edges), {**witness, "kind": "orbit-union-edges"})
-        orbit_cert(2 * v0, {**witness, "kind": "orbit-union-vertices"})
+        for divisor, witness in _orbit_union_witnesses(g, combo, edges):
+            orbit_cert(divisor, witness)
     return certs, status
 
 
@@ -397,16 +411,20 @@ def propagate_subgraph(
                         target=target,
                         direction="upper",
                         divisor=interval.upper,
-                        witness={
-                            "subgraph": sub.name,
-                            "edges": [e.id for e in sub.edges],
-                            "subgraph_bound": _json_int(interval.upper),
-                        },
+                        witness=_propagation_witness(sub, interval.upper),
                     )
                 )
         if report.status:
             status.extend(f"{sub.name}: {s}" for s in report.status)
     return certs, status
+
+
+def _propagation_witness(sub: Multigraph, upper: int) -> dict:
+    return {
+        "subgraph": sub.name,
+        "edges": [e.id for e in sub.edges],
+        "subgraph_bound": _json_int(upper),
+    }
 
 
 # --- scanning ----------------------------------------------------------------
@@ -549,11 +567,7 @@ def _cyclic_scan(
                     target="period",
                     direction="lower",
                     divisor=n,
-                    witness={
-                        "automorphism": sigma.to_json_dict(),
-                        "element_order": order,
-                        "restricted_class_order": n,
-                    },
+                    witness=_cyclic_witness(sigma, order, n),
                 )
             )
             period.add_lower(n)
@@ -581,6 +595,14 @@ def _cyclic_scan(
             break
 
 
+def _cyclic_witness(sigma: GraphAutomorphism, order: int, n: int) -> dict:
+    return {
+        "automorphism": sigma.to_json_dict(),
+        "element_order": order,
+        "restricted_class_order": n,
+    }
+
+
 def _loop_witness(g: Multigraph, loop: Chain) -> list[dict]:
     return [
         {"edge": g.edges[k].id, "sign": sign}
@@ -599,8 +621,7 @@ def analyze(g: Multigraph, config: Config | None = None, _depth: int | None = No
     config = config or Config()
     depth = config.subgraph_depth if _depth is None else _depth
     gen = genus(g)
-    gens = automorphism_generators(g)
-    group = automorphism_group(g, gens)
+    group = automorphism_group(g)
     aut_order = group.order()
     lattice = homology.fundamental_cycle_basis(g)
     cocycle = PathCocycle(lattice)
@@ -652,17 +673,7 @@ def analyze(g: Multigraph, config: Config | None = None, _depth: int | None = No
                 target="period",
                 direction="lower",
                 divisor=n,
-                witness={
-                    "class_order": n,
-                    "sylow_parts": [
-                        {
-                            "prime": p.prime,
-                            "subgroup_order": p.subgroup_order,
-                            "class_order": p.class_order,
-                        }
-                        for p in parts
-                    ],
-                },
+                witness=_sylow_witness(n, parts),
             )
         )
         period.add_lower(n)
@@ -681,7 +692,7 @@ def analyze(g: Multigraph, config: Config | None = None, _depth: int | None = No
             target="index",
             direction="lower",
             divisor=period.lower,
-            witness={"period_lower": _json_int(period.lower)},
+            witness=_period_lower_witness(period.lower),
         )
     )
     index.add_lower(period.lower)
@@ -701,71 +712,110 @@ def analyze(g: Multigraph, config: Config | None = None, _depth: int | None = No
     )
 
 
+def _sylow_witness(n: int, parts: list[cohomology.SylowOrder]) -> dict:
+    return {
+        "class_order": n,
+        "sylow_parts": [
+            {
+                "prime": p.prime,
+                "subgroup_order": p.subgroup_order,
+                "class_order": p.class_order,
+            }
+            for p in parts
+        ],
+    }
+
+
+def _period_lower_witness(lower: int) -> dict:
+    return {"period_lower": _json_int(lower)}
+
+
 # --- certificate re-verification ----------------------------------------------
 
 
 def verify_certificate(g: Multigraph, cert: Certificate, config: Config | None = None) -> bool:
-    """Re-check a certificate from its witness alone."""
+    """Re-check a certificate against g from its witness alone.
+
+    Each rule recomputes its divisor and every witness field, and the
+    certificate verifies only if both equal what analyze writes into a
+    report; its target and direction must be the rule's own.  The rules
+    that need Aut(g) get it from automorphism_group, which builds it once
+    per graph object, so all certificates of a report checked against the
+    same g share one group, and a fresh parse of the graph builds it anew.
+    A witness that does not decode against g (an unknown id, a map that is
+    not an automorphism, a chain that is not closed, a missing or mistyped
+    field) verifies False.  SoundnessError propagates.
+    """
     config = config or Config()
-    rule = cert.rule
+    rule, w = cert.rule, cert.witness
+    targets, direction = RULES[rule]
+    if cert.target not in targets or cert.direction != direction or not isinstance(w, dict):
+        return False
     if rule == "GenusIndex":
-        return cert.divisor == genus(g) - 1
+        gen = genus(g)
+        return cert.divisor == gen - 1 and w == {"genus": gen}
     if rule == "AutOrder":
-        return cert.divisor == automorphism_group(g).order()
+        order = automorphism_group(g).order()
+        return cert.divisor == order and w == {"aut_order": str(order)}
     if rule == "OrbitSubgraph":
         group = automorphism_group(g)
-        kind = cert.witness["kind"]
         eorbits = _edge_orbits(g, group)
-        vorbits = _vertex_orbits(g, group)
-        if kind == "edge-orbit":
-            ids = sorted(cert.witness["edges"])
-            return any(
-                sorted(g.edges[k].id for k in orbit) == ids and len(orbit) == cert.divisor
-                for orbit in eorbits
-            )
-        if kind == "vertex-orbit-doubled":
-            ids = sorted(cert.witness["vertices"])
-            return any(
-                sorted(g.vertices[v] for v in orbit) == ids
-                and 2 * len(orbit) == cert.divisor
-                for orbit in vorbits
-            )
-        if kind in ("orbit-union-edges", "orbit-union-vertices"):
-            combo = cert.witness["orbits"]
-            if any(i >= len(eorbits) for i in combo):
+        if w.get("kind") in ("orbit-union-edges", "orbit-union-vertices"):
+            combo = w.get("orbits")
+            if not (
+                isinstance(combo, list)
+                and all(type(i) is int and 0 <= i < len(eorbits) for i in combo)
+                and combo == sorted(set(combo))
+            ):
                 return False
-            edges = [k for i in combo for k in eorbits[i]]
-            if kind == "orbit-union-edges":
-                return cert.divisor == len(edges)
-            return cert.divisor == 2 * len(_incident_vertices(g, edges))
-        return False
+            candidates = _orbit_union_witnesses(g, combo, _union_edges(eorbits, combo))
+        else:
+            candidates = _orbit_witnesses(g, eorbits, _vertex_orbits(g, group))
+        return (cert.divisor, w) in candidates
+    if rule in ("LoopSummand", "CyclicRestriction"):
+        try:
+            sigma = from_json_dict(g, w.get("automorphism"))
+        except ValueError:
+            return False
     if rule == "LoopSummand":
+        try:
+            loop: Chain = {g.edge_index[item["edge"]]: item["sign"] for item in w["loop"]}
+        except (KeyError, TypeError):
+            return False
+        if any(sign not in (1, -1) for sign in loop.values()) or w != {
+            "automorphism": sigma.to_json_dict(),
+            "loop": _loop_witness(g, loop),
+        }:
+            return False
         lattice = homology.fundamental_cycle_basis(g)
-        sigma = from_json_dict(g, cert.witness["automorphism"])
-        loop: Chain = {}
-        for item in cert.witness["loop"]:
-            loop[g.edge_index[item["edge"]]] = item["sign"]
-        result = period_lower_loop_summand(lattice, sigma, loop)
-        return result == cert.divisor
+        try:
+            return period_lower_loop_summand(lattice, sigma, loop) == cert.divisor
+        except NotAClosedChain:
+            return False
     if rule == "CyclicRestriction":
         cocycle = PathCocycle(homology.fundamental_cycle_basis(g))
-        sigma = from_json_dict(g, cert.witness["automorphism"])
-        return cohomology.class_order_cyclic(cocycle, sigma) == cert.divisor
+        n = cohomology.class_order_cyclic(cocycle, sigma)
+        return cert.divisor == n and w == _cyclic_witness(sigma, sigma.order(), n)
     if rule == "SylowExact":
         cocycle = PathCocycle(homology.fundamental_cycle_basis(g))
         exact = cohomology.class_order_exact(
             cocycle, automorphism_group(g), enum_cap=config.max_enum,
             bar_cap=config.bar_cap, seed=config.seed,
         )
-        return isinstance(exact, tuple) and exact[0] == cert.divisor
+        return (
+            isinstance(exact, tuple)
+            and cert.divisor == exact[0]
+            and w == _sylow_witness(*exact)
+        )
     if rule == "SubgraphPropagation":
-        group = automorphism_group(g)
-        for sub in invariant_subgraphs(g, group, config.union_cap):
-            if sub.name == cert.witness["subgraph"]:
-                report = analyze(sub, config, _depth=0)
-                interval = report.period if cert.target == "period" else report.index
-                return interval.upper != 0 and cert.divisor % interval.upper == 0
+        for sub in invariant_subgraphs(g, automorphism_group(g), config.union_cap):
+            if sub.name == w.get("subgraph"):
+                report = analyze(sub, config, _depth=config.subgraph_depth - 1)
+                upper = (report.period if cert.target == "period" else report.index).upper
+                return (
+                    upper != 0
+                    and cert.divisor == upper
+                    and w == _propagation_witness(sub, upper)
+                )
         return False
-    if rule == "PeriodDividesIndex":
-        return True
-    return False
+    return w == _period_lower_witness(cert.divisor)  # PeriodDividesIndex

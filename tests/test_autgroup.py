@@ -12,6 +12,7 @@ from graphperiod.autgroup import (
     from_json_dict,
     identity_automorphism,
 )
+from graphperiod.multigraph import parse_graph
 
 
 @pytest.mark.parametrize(
@@ -92,3 +93,55 @@ def test_signed_eperm_matches_edge_sign():
             assert len(a.signed_eperm) == len(g.edges)
             for k, pair in enumerate(a.signed_eperm):
                 assert pair == (a.eperm[k], a.edge_sign(k))
+
+
+def test_group_built_once_per_graph_object():
+    g = catalog.builtin("k5")
+    assert automorphism_group(g) is automorphism_group(g)
+
+
+def test_fresh_parse_builds_its_own_group():
+    text = catalog.builtin("k5").to_json()
+    first, second = parse_graph(text), parse_graph(text)
+    assert first == second
+    assert automorphism_group(first) is not automorphism_group(second)
+    assert automorphism_group(first).order() == automorphism_group(second).order()
+
+
+def test_from_json_dict_rejects_collapsing_map():
+    # each side of the bipartition onto one end of edge 0, every edge onto
+    # edge 0: incidence holds edge by edge, but neither map is a bijection
+    g = catalog.builtin("k34")
+    tail, head = g.edges[0].tail, g.edges[0].head
+    tail_side = {e.tail if e.head == head else e.head for e in g.edges if head in (e.tail, e.head)}
+    d = {
+        "vertex_map": {v: tail if v in tail_side else head for v in g.vertices},
+        "edge_map": {e.id: g.edges[0].id for e in g.edges},
+    }
+    assert all(
+        {d["vertex_map"][e.tail], d["vertex_map"][e.head]} == {tail, head} for e in g.edges
+    )
+    with pytest.raises(ValueError):
+        from_json_dict(g, d)
+
+
+@pytest.mark.parametrize("what", ["vertex_map", "edge_map"])
+def test_from_json_dict_rejects_partial_map(what):
+    g = catalog.builtin("k34")
+    d = identity_automorphism(g).to_json_dict()
+    d[what].pop(next(iter(d[what])))
+    with pytest.raises(ValueError):
+        from_json_dict(g, d)
+
+
+@pytest.mark.parametrize("where", ["key", "value"])
+def test_from_json_dict_rejects_unknown_id(where):
+    g = catalog.builtin("k5")
+    d = identity_automorphism(g).to_json_dict()
+    v = g.vertices[0]
+    if where == "key":
+        d["vertex_map"]["nowhere"] = d["vertex_map"].pop(v)
+    else:
+        d["vertex_map"][v] = "nowhere"
+    with pytest.raises(ValueError):
+        from_json_dict(g, d)

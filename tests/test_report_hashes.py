@@ -6,7 +6,8 @@ the nine small builtins from its reference.json entry "catalog-small",
 soccer-doubled from "soccer-sampled" and hybrid from "hybrid-enum" (both
 workloads run at the values of Config()).  They are copied here on purpose:
 a change that alters a report must update this table and say so in
-CHANGES.md.
+CHANGES.md.  Every certificate of each report must also re-verify against
+the graph it was computed from.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ import json
 import pytest
 
 from graphperiod import catalog
-from graphperiod.bounds import analyze
+from graphperiod.bounds import analyze, verify_certificate
 from graphperiod.config import Config
 
 REPORT_SHA256 = {
@@ -34,8 +35,20 @@ REPORT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
-def test_default_report_hash(name):
-    report = analyze(catalog.builtin(name), Config())
+@pytest.fixture(scope="module", params=sorted(REPORT_SHA256))
+def analyzed(request):
+    """One default analysis per builtin, shared by the tests below."""
+    g = catalog.builtin(request.param)
+    return request.param, g, analyze(g, Config())
+
+
+def test_default_report_hash(analyzed):
+    name, _, report = analyzed
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]
+
+
+def test_every_certificate_reverifies(analyzed):
+    _, g, report = analyzed
+    rejected = [c for c in report.certificates if not verify_certificate(g, c)]
+    assert rejected == []

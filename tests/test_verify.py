@@ -1,0 +1,181 @@
+"""Certificate re-verification: one Aut(g) per graph object, malformed
+witnesses, and single-field tampering."""
+
+import pytest
+
+from graphperiod import autgroup, bounds, catalog
+from graphperiod.autgroup import identity_automorphism
+from graphperiod.bounds import (
+    RULES,
+    Certificate,
+    SoundnessError,
+    analyze,
+    verify_certificate,
+)
+from graphperiod.config import Config
+from graphperiod.multigraph import parse_graph
+
+TAMPER_GRAPHS = ("k5", "k34", "hybrid")
+
+
+@pytest.fixture(scope="module")
+def reports():
+    out = {}
+    for name in TAMPER_GRAPHS:
+        g = catalog.builtin(name)
+        out[name] = (g, analyze(g, Config()))
+    return out
+
+
+def with_witness(cert: Certificate, witness: dict) -> Certificate:
+    return Certificate(cert.rule, cert.target, cert.direction, cert.divisor, witness)
+
+
+def perturb(g, value):
+    """A value of the same JSON shape that differs from the given one."""
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return str(int(value) + 1) if value.isdigit() else value + "x"
+    if isinstance(value, list):
+        return value[:-1] if value else [0]
+    if isinstance(value, dict):  # an automorphism: replace it by the identity
+        assert value != identity_automorphism(g).to_json_dict()
+        return identity_automorphism(g).to_json_dict()
+    raise AssertionError(f"unexpected witness value {value!r}")
+
+
+def cert_of(report, rule, predicate=lambda c: True) -> Certificate:
+    return next(c for c in report.certificates if c.rule == rule and predicate(c))
+
+
+def test_analyze_and_verify_search_automorphisms_once(monkeypatch):
+    calls = []
+    original = autgroup.automorphism_generators
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(autgroup, "automorphism_generators", counting)
+    g = catalog.builtin("k5")
+    report = analyze(g, Config())
+    assert all(verify_certificate(g, c) for c in report.certificates)
+    assert len(calls) == 1 and calls[0] is g
+
+
+@pytest.mark.parametrize("name", ["k5", "hybrid"])
+def test_certificates_verify_against_fresh_parse(reports, name):
+    g, report = reports[name]
+    fresh = parse_graph(g.to_json())
+    assert fresh is not g
+    for cert in report.certificates:
+        assert verify_certificate(fresh, cert), (cert.rule, cert.divisor)
+
+
+@pytest.mark.parametrize("name", TAMPER_GRAPHS)
+def test_every_witness_field_is_checked(reports, name):
+    g, report = reports[name]
+    for cert in report.certificates:
+        assert verify_certificate(g, cert)
+        for key, value in cert.witness.items():
+            bad = with_witness(cert, {**cert.witness, key: perturb(g, value)})
+            assert not verify_certificate(g, bad), (cert.rule, cert.witness, key)
+        extra = with_witness(cert, {**cert.witness, "extra": 1})
+        assert not verify_certificate(g, extra), cert.rule
+
+
+@pytest.mark.parametrize("name", TAMPER_GRAPHS)
+def test_every_certificate_field_is_checked(reports, name):
+    g, report = reports[name]
+    for cert in report.certificates:
+        targets, direction = RULES[cert.rule]
+        flipped = {"lower": "upper", "upper": "lower"}[direction]
+        tampered = [
+            Certificate(cert.rule, cert.target, cert.direction, cert.divisor + 1, cert.witness),
+            Certificate(cert.rule, cert.target, flipped, cert.divisor, cert.witness),
+        ]
+        if len(targets) == 1:
+            other = {"period": "index", "index": "period"}[cert.target]
+            tampered.append(
+                Certificate(cert.rule, other, cert.direction, cert.divisor, cert.witness)
+            )
+        for bad in tampered:
+            assert not verify_certificate(g, bad), (bad.rule, bad.target, bad.direction)
+
+
+def test_orbit_union_indices_must_be_in_range(reports):
+    # k5 has one edge orbit, so index -1 would reach it
+    g, report = reports["k5"]
+    cert = cert_of(report, "OrbitSubgraph", lambda c: c.witness["kind"] == "orbit-union-edges")
+    assert cert.witness["orbits"] == [0]
+    for orbits in ([-1], [1], [True], [0.0], "0"):
+        assert not verify_certificate(g, with_witness(cert, {**cert.witness, "orbits": orbits}))
+
+
+def test_orbit_union_indices_must_be_sorted_and_distinct(reports):
+    g, report = reports["hybrid"]
+    for cert in report.certificates:
+        if not cert.witness.get("kind", "").startswith("orbit-union"):
+            continue
+        orbits = cert.witness["orbits"]
+        if len(orbits) > 1:
+            for bad in (orbits[::-1], orbits[:1] + orbits, orbits + orbits[-1:]):
+                tampered = with_witness(cert, {**cert.witness, "orbits": bad})
+                assert not verify_certificate(g, tampered), bad
+            break
+    else:
+        pytest.fail("hybrid has no union of two edge orbits")
+
+
+def test_malformed_loop_witness_is_rejected(reports):
+    g, report = reports["k5"]
+    cert = cert_of(report, "LoopSummand")
+    loop = cert.witness["loop"]
+    for bad in (
+        [{**loop[0], "edge": "nowhere"}] + loop[1:],  # unknown edge id
+        loop[1:],  # one step dropped: not a closed chain
+        loop + loop[:1],  # a step repeated
+        [{**loop[0], "sign": 2}] + loop[1:],
+        [{"edge": loop[0]["edge"]}] + loop[1:],  # a step without its sign
+    ):
+        assert not verify_certificate(g, with_witness(cert, {**cert.witness, "loop": bad}))
+
+
+@pytest.mark.parametrize("rule", ["LoopSummand", "CyclicRestriction"])
+def test_partial_automorphism_is_rejected(reports, rule):
+    g, report = reports["k5"]
+    cert = cert_of(report, rule)
+    auto = cert.witness["automorphism"]
+    for what in ("vertex_map", "edge_map"):
+        partial = dict(auto[what])
+        partial.pop(next(iter(partial)))
+        bad = {**cert.witness, "automorphism": {**auto, what: partial}}
+        assert not verify_certificate(g, with_witness(cert, bad))
+
+
+def test_witness_of_the_wrong_shape_is_rejected(reports):
+    g, report = reports["k5"]
+    for cert in report.certificates:
+        for witness in ({}, [], "x"):
+            assert not verify_certificate(g, with_witness(cert, witness)), cert.rule
+
+
+def test_soundness_error_propagates(reports, monkeypatch):
+    g, report = reports["hybrid"]
+    cert = cert_of(report, "SubgraphPropagation")
+
+    def unsound(*args, **kwargs):
+        raise SoundnessError("lower bound does not divide upper bound")
+
+    monkeypatch.setattr(bounds, "analyze", unsound)
+    with pytest.raises(SoundnessError):
+        verify_certificate(g, cert)
+
+
+def test_certificates_verify_at_deeper_subgraph_recursion():
+    config = Config(subgraph_depth=2)
+    g = catalog.builtin("doubled-k4")
+    report = analyze(g, config)
+    assert any(c.rule == "SubgraphPropagation" for c in report.certificates)
+    assert all(verify_certificate(g, c, config) for c in report.certificates)
