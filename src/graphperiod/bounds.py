@@ -11,6 +11,7 @@ computation when feasible, and propagation from invariant subgraphs.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -100,8 +101,8 @@ class Certificate:
             raise ValueError(f"unknown certificate rule {self.rule!r}")
         if self.target not in ("period", "index") or self.direction not in ("lower", "upper"):
             raise ValueError("bad certificate target/direction")
-        if self.divisor < 1:
-            raise ValueError("certificate divisor must be positive")
+        if type(self.divisor) is not int or self.divisor < 1:
+            raise ValueError("certificate divisor must be a positive int")
 
     def to_json_dict(self) -> dict:
         return {
@@ -738,7 +739,8 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config | None =
 
     Each rule recomputes its divisor and every witness field, and the
     certificate verifies only if both equal what analyze writes into a
-    report; its target and direction must be the rule's own.  The rules
+    report, types included (5.0 or true is not the int 5 or 1; see
+    _same_json); its target and direction must be the rule's own.  The rules
     that need Aut(g) get it from automorphism_group, which builds it once
     per graph object, so all certificates of a report checked against the
     same g share one group, and a fresh parse of the graph builds it anew.
@@ -753,10 +755,10 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config | None =
         return False
     if rule == "GenusIndex":
         gen = genus(g)
-        return cert.divisor == gen - 1 and w == {"genus": gen}
+        return cert.divisor == gen - 1 and _same_json(w, {"genus": gen})
     if rule == "AutOrder":
         order = automorphism_group(g).order()
-        return cert.divisor == order and w == {"aut_order": str(order)}
+        return cert.divisor == order and _same_json(w, {"aut_order": str(order)})
     if rule == "OrbitSubgraph":
         group = automorphism_group(g)
         eorbits = _edge_orbits(g, group)
@@ -771,7 +773,7 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config | None =
             candidates = _orbit_union_witnesses(g, combo, _union_edges(eorbits, combo))
         else:
             candidates = _orbit_witnesses(g, eorbits, _vertex_orbits(g, group))
-        return (cert.divisor, w) in candidates
+        return any(d == cert.divisor and _same_json(w, cw) for d, cw in candidates)
     if rule in ("LoopSummand", "CyclicRestriction"):
         try:
             sigma = from_json_dict(g, w.get("automorphism"))
@@ -782,10 +784,10 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config | None =
             loop: Chain = {g.edge_index[item["edge"]]: item["sign"] for item in w["loop"]}
         except (KeyError, TypeError):
             return False
-        if any(sign not in (1, -1) for sign in loop.values()) or w != {
-            "automorphism": sigma.to_json_dict(),
-            "loop": _loop_witness(g, loop),
-        }:
+        if any(type(sign) is not int or sign not in (1, -1) for sign in loop.values()):
+            return False
+        expected = {"automorphism": sigma.to_json_dict(), "loop": _loop_witness(g, loop)}
+        if not _same_json(w, expected):
             return False
         lattice = homology.fundamental_cycle_basis(g)
         try:
@@ -795,7 +797,7 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config | None =
     if rule == "CyclicRestriction":
         cocycle = PathCocycle(homology.fundamental_cycle_basis(g))
         n = cohomology.class_order_cyclic(cocycle, sigma)
-        return cert.divisor == n and w == _cyclic_witness(sigma, sigma.order(), n)
+        return cert.divisor == n and _same_json(w, _cyclic_witness(sigma, sigma.order(), n))
     if rule == "SylowExact":
         cocycle = PathCocycle(homology.fundamental_cycle_basis(g))
         exact = cohomology.class_order_exact(
@@ -805,7 +807,7 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config | None =
         return (
             isinstance(exact, tuple)
             and cert.divisor == exact[0]
-            and w == _sylow_witness(*exact)
+            and _same_json(w, _sylow_witness(*exact))
         )
     if rule == "SubgraphPropagation":
         for sub in invariant_subgraphs(g, automorphism_group(g), config.union_cap):
@@ -815,7 +817,12 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config | None =
                 return (
                     upper != 0
                     and cert.divisor == upper
-                    and w == _propagation_witness(sub, upper)
+                    and _same_json(w, _propagation_witness(sub, upper))
                 )
         return False
-    return w == _period_lower_witness(cert.divisor)  # PeriodDividesIndex
+    return _same_json(w, _period_lower_witness(cert.divisor))  # PeriodDividesIndex
+
+
+def _same_json(a, b) -> bool:
+    """Equal as JSON, types included: 1, 1.0 and true are three values."""
+    return a == b and json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)

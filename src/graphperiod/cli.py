@@ -10,7 +10,8 @@ CLI help; analyze takes all of them, oracle only --seed.
 
 Exit codes: 0 report produced / all oracles pass, 1 input error (including
 an invalid cap value), 2 no bound established under the caps, 3 oracle
-mismatch, 4 soundness check failed (a bug in graphperiod, never a result).
+mismatch, 4 an internal check failed: a SoundnessError or any other
+AssertionError (a bug in graphperiod, never a result).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import sys
 
 from . import oracle
-from .bounds import BoundsReport, SoundnessError, analyze
+from .bounds import BoundsReport, analyze
 from .catalog import EXPECTED, builtin
 from .config import Config
 from .multigraph import GraphError, parse_graph
@@ -115,8 +116,8 @@ def cmd_analyze(args) -> int:
         return 1
     try:
         report = analyze(graph, config)
-    except SoundnessError as exc:
-        print(f"soundness check failed, this is a bug in graphperiod: {exc}",
+    except AssertionError as exc:  # SoundnessError included
+        print(f"internal check failed, this is a bug in graphperiod: {exc}",
               file=sys.stderr)
         return 4
     except Exception as exc:  # resource exhaustion

@@ -13,6 +13,13 @@ The order of its class in H^2 restricted to a subgroup H is the least n
 with n*c a coboundary; for cyclic H = <s> of order m there is a closed
 form: H^2(<s>, M) = M^s / N M with N = 1 + s + ... + s^(m-1), and the
 class corresponds to the invariant cycle N . P_s.
+
+For any other finite H (a Sylow subgroup, in class_order_exact) the order
+comes from the inhomogeneous bar complex of H.  Its coboundary columns are
+assembled sparse, straight into the lattice solver; no dense matrix is
+formed.  The full complex is used rather than the normalized one:
+normalizing would drop only 2/n of the rows and columns, and it would need
+c(1, 1) = 0 from a hand-built CocycleTable.
 """
 
 from __future__ import annotations
@@ -23,12 +30,7 @@ from dataclasses import dataclass
 from .autgroup import GraphAutomorphism, from_combined, identity_automorphism
 from .config import Config
 from .homology import Chain, CycleLattice, chain_action, chain_add, norm
-from .intlinalg import (
-    LatticeSolver,
-    Matrix,
-    NoneUpTo,
-    minimal_multiple_in_image,
-)
+from .intlinalg import LatticeSolver, Matrix, NoneUpTo
 from .permgroup import (
     Infeasible,
     Overflow,
@@ -90,9 +92,6 @@ class CocycleTable:
     values: dict[tuple[int, int], tuple[int, ...]]
     actions: list[Matrix]
 
-    def value(self, i: int, j: int) -> tuple[int, ...]:
-        return self.values[(i, j)]
-
 
 def cyclic_group_elements(sigma: GraphAutomorphism) -> list[GraphAutomorphism]:
     out = [identity_automorphism(sigma.graph)]
@@ -130,82 +129,49 @@ def restrict(cocycle: PathCocycle, elements: list[GraphAutomorphism]) -> Cocycle
     )
 
 
-def subtable(table: CocycleTable, indices: list[int]) -> CocycleTable:
-    """Restriction of a table to a subset of element indices that forms a
-    subgroup (index 0 must stay the identity)."""
-    pos = {old: new for new, old in enumerate(indices)}
-    prod = {}
-    for a, i in pos.items():
-        for b, j in pos.items():
-            prod[(i, j)] = pos[table.prod[(a, b)]]
-    return CocycleTable(
-        rank=table.rank,
-        size=len(indices),
-        prod=prod,
-        values={
-            (pos[a], pos[b]): table.values[(a, b)]
-            for a in indices
-            for b in indices
-        },
-        actions=[table.actions[a] for a in indices],
-    )
-
-
-def coboundary_matrix(table: CocycleTable) -> Matrix:
-    """Matrix of d^1: C^1(H, M) -> C^2(H, M) for the inhomogeneous bar
-    complex, (d f)(s, t) = s.f(t) - f(st) + f(s).  Rows are indexed by
-    (pair (s, t), lattice coordinate), columns by (group element, basis
-    vector)."""
-    n, g = table.size, table.rank
-    rows = n * n * g
-    cols = n * g
-
-    def row_base(i: int, j: int) -> int:
-        return (i * n + j) * g
-
-    d = [[0] * cols for _ in range(rows)]
-    for h in range(n):
-        for b in range(g):
-            col = h * g + b
-            for s in range(n):
-                # s . f(t) at t = h
-                base = row_base(s, h)
-                act = table.actions[s]
-                for r in range(g):
-                    if act[r][b]:
-                        d[base + r][col] += act[r][b]
-            for s in range(n):
-                # - f(st) whenever s * t = h
-                for t in range(n):
-                    if table.prod[(s, t)] == h:
-                        d[row_base(s, t) + b][col] -= 1
-                # + f(s) at s = h
-                d[row_base(h, s) + b][col] += 1
-    return d
-
-
-def table_vector(table: CocycleTable) -> list[int]:
-    n, g = table.size, table.rank
-    out = [0] * (n * n * g)
-    for (i, j), val in table.values.items():
-        base = (i * n + j) * g
-        for r in range(g):
-            out[base + r] = val[r]
-    return out
-
-
 def class_order_bar(table: CocycleTable, cap: int = Config.bar_cap) -> int | Infeasible:
     """Order of the class of the tabulated cocycle in H^2, computed against
-    the bar complex: least n with n*c in the image of d^1.  |H| annihilates
-    H^2, so |H| is a valid search bound."""
+    the inhomogeneous bar complex: least n with n*c in the image of
+    d^1: C^1(H, M) -> C^2(H, M), (d f)(s, t) = s.f(t) - f(st) + f(s).
+    |H| annihilates H^2, so |H| is a valid search bound.
+
+    Row (s*n + t)*g + r is coordinate r of the value at the pair (s, t);
+    column h*g + b is basis vector b of f(h).
+    """
     if table.size > cap:
         return Infeasible(f"group of order {table.size} exceeds bar cap {cap}")
-    d = coboundary_matrix(table)
-    c = table_vector(table)
-    result = minimal_multiple_in_image(d, c, bound=table.size)
-    if isinstance(result, NoneUpTo):  # pragma: no cover - annihilation bound
+    n, g = table.size, table.rank
+    preimages: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (s, t), h in table.prod.items():
+        preimages[h].append((s, t))
+    solver = LatticeSolver(n * n * g)
+    for h in range(n):
+        for b in range(g):
+            col: dict[int, int] = {}
+            for s in range(n):
+                # s . f(t) at t = h
+                base = (s * n + h) * g
+                for r, row in enumerate(table.actions[s]):
+                    if row[b]:
+                        col[base + r] = col.get(base + r, 0) + row[b]
+                # + f(s) at s = h
+                key = (h * n + s) * g + b
+                col[key] = col.get(key, 0) + 1
+            for s, t in preimages[h]:
+                # - f(st) whenever s * t = h
+                key = (s * n + t) * g + b
+                col[key] = col.get(key, 0) - 1
+            solver.add_generator(col)
+    target = {
+        (i * n + j) * g + r: x
+        for (i, j), val in table.values.items()
+        for r, x in enumerate(val)
+        if x
+    }
+    order = solver.least_multiple(target, n)
+    if isinstance(order, NoneUpTo):  # pragma: no cover - annihilation bound
         raise AssertionError("cocycle order exceeded |H|; not a cocycle?")
-    return result[0]
+    return order
 
 
 def class_order_cyclic(cocycle: PathCocycle, sigma: GraphAutomorphism) -> int:
@@ -224,10 +190,10 @@ def class_order_cyclic(cocycle: PathCocycle, sigma: GraphAutomorphism) -> int:
         solver.add_generator({
             i: x for i, x in enumerate(lattice.coordinates(norm(sigma, m, z))) if x
         })
-    for n in range(1, m + 1):
-        if solver.contains([n * x for x in target]):
-            return n
-    raise AssertionError("restricted class order exceeded |<sigma>|")  # pragma: no cover
+    n = solver.least_multiple(target, m)
+    if isinstance(n, NoneUpTo):  # pragma: no cover - annihilation bound
+        raise AssertionError("restricted class order exceeded |<sigma>|")
+    return n
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 membership, and minimal-multiple solving.
 
 Everything is plain Python ints (arbitrary precision); there is no floating
-point anywhere.  Matrices are lists of row lists.  The lattice solver keeps
-rows sparse (dict column -> value) because the coboundary matrices it sees
-are large and mostly zero.
+point anywhere.  Matrices are lists of row lists.  The lattice solver takes
+and keeps vectors sparse (dict coordinate -> value): the bar complex feeds it
+coboundary columns built sparse, which are long and mostly zero.
 """
 
 from __future__ import annotations
@@ -280,6 +280,14 @@ class LatticeSolver:
         residual, _ = self.reduce(vec)
         return not residual
 
+    def least_multiple(self, vec, bound: int) -> int | NoneUpTo:
+        """Least n in [1, bound] with n*vec in the lattice."""
+        row = self._to_sparse(vec)
+        for n in range(1, bound + 1):
+            if self.contains({j: n * x for j, x in row.items()}):
+                return n
+        return NoneUpTo(bound)
+
     def coordinates(self, vec) -> list[int] | None:
         """Coordinates over the original generators, or None if outside."""
         residual, combo = self.reduce(vec)
@@ -357,11 +365,10 @@ def minimal_multiple_in_image(
     if method == "snf":
         return _minimal_multiple_snf(d, c, bound)
     solver = column_lattice(d)
-    for n in range(1, bound + 1):
-        witness = solver.coordinates([n * x for x in c])
-        if witness is not None:
-            return n, witness
-    return NoneUpTo(bound)
+    n = solver.least_multiple(c, bound)
+    if isinstance(n, NoneUpTo):
+        return n
+    return n, solver.coordinates([n * x for x in c])
 
 
 def _minimal_multiple_snf(d: Matrix, c: list[int], bound: int):

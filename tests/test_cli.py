@@ -115,6 +115,20 @@ def test_soundness_error_has_its_own_exit_code(monkeypatch, capsys):
     assert "bug" in err and "does not divide" in err
 
 
+def test_internal_assertion_exits_4_not_2(monkeypatch, capsys):
+    # an internal AssertionError is a bug, not "no bound under the caps"
+    from graphperiod import cli
+
+    def broken(graph, config):
+        raise AssertionError("cocycle order exceeded |H|; not a cocycle?")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    code = main(["analyze", "--builtin", "k5"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "bug" in err and "cocycle order exceeded" in err
+
+
 def test_oracle_takes_only_the_seed_flag(capsys):
     assert build_parser().parse_args(["oracle", "--seed", "3"]).seed == 3
     with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ from graphperiod import catalog
 from graphperiod.autgroup import (
     automorphism_generators,
     automorphism_group,
+    from_combined,
     identity_automorphism,
 )
 from graphperiod.cohomology import (
@@ -17,10 +18,10 @@ from graphperiod.cohomology import (
     class_order_exact,
     cyclic_group_elements,
     restrict,
-    subtable,
 )
 from graphperiod.homology import boundary, chain_action, chain_add, fundamental_cycle_basis
-from graphperiod.permgroup import Infeasible
+from graphperiod.config import Config
+from graphperiod.permgroup import Infeasible, sylow_subgroup
 
 from util import relabel, transfer_automorphism, vertex_cycle_automorphism
 
@@ -83,17 +84,6 @@ def test_restrict_5_cycle_table_shape():
     assert len(table.values) == 25
 
 
-def test_restrict_twice_equals_direct():
-    g, lattice, c = make_cocycle("k5")
-    sigma = vertex_cycle_automorphism(g, ["v1", "v2", "v3", "v4", "v5"])
-    elements = cyclic_group_elements(sigma)
-    table = restrict(c, elements)
-    sub = subtable(table, [0])
-    direct = restrict(c, [identity_automorphism(g)])
-    assert sub.values == direct.values
-    assert sub.prod == direct.prod
-
-
 def test_doubled_cycle_rotation_restriction_has_full_order():
     # the restricted class on the one-step rotation subgroup generates
     # H^2 of a cyclic group of order g-1
@@ -121,8 +111,6 @@ def test_bar_cap_infeasible():
     g, lattice, c = make_cocycle("k34")
     group = automorphism_group(g)
     elements = group.enumerate_elements(200)
-    from graphperiod.autgroup import from_combined
-
     autos = [from_combined(g, p) for p in elements]
     table = restrict(c, autos)
     assert isinstance(class_order_bar(table, cap=32), Infeasible)
@@ -140,6 +128,30 @@ def test_synthetic_mod2_cocycle_order_two():
         actions=[[[1]], [[1]]],
     )
     assert class_order_bar(table, cap=8) == 2
+
+
+@pytest.mark.parametrize(
+    "name,order,expected",
+    [("doubled-cycle-g3", 16, 2), ("k5", 8, 1), ("k34", 16, 1)],
+)
+def test_bar_order_on_shuffled_nonabelian_sylow(name, order, expected):
+    # st != ts in these Sylow-2 subgroups, so a bar complex that swaps s
+    # and t, or drops the action term, gives a different answer; the
+    # shuffles move every element but the identity to a new index
+    g, lattice, c = make_cocycle(name)
+    sub = sylow_subgroup(automorphism_group(g), 2, cap=Config.max_enum)
+    elements = [from_combined(g, p) for p in sub.enumerate_elements(order)]
+    assert len(elements) == order
+    assert any(
+        a.compose(b).combined != b.compose(a).combined
+        for a in elements
+        for b in elements
+    )
+    rng = Random(5)
+    for _ in range(3):
+        rest = elements[1:]
+        rng.shuffle(rest)
+        assert class_order_bar(restrict(c, elements[:1] + rest), cap=order) == expected
 
 
 @pytest.mark.parametrize(

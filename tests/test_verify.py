@@ -179,3 +179,50 @@ def test_certificates_verify_at_deeper_subgraph_recursion():
     report = analyze(g, config)
     assert any(c.rule == "SubgraphPropagation" for c in report.certificates)
     assert all(verify_certificate(g, c, config) for c in report.certificates)
+
+
+def int_paths(value, path=()):
+    """(path, value) of every int (bools excluded) inside a JSON value."""
+    if type(value) is int:
+        yield path, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from int_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from int_paths(item, path + (i,))
+
+
+def replace_at(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {**value, head: replace_at(value[head], rest, new)}
+    return [replace_at(item, rest, new) if i == head else item for i, item in enumerate(value)]
+
+
+@pytest.mark.parametrize("name", TAMPER_GRAPHS)
+def test_ints_written_as_floats_or_bools_are_rejected(reports, name):
+    g, report = reports[name]
+    tried = 0
+    for cert in report.certificates:
+        for like in (float(cert.divisor), bool(cert.divisor)):
+            with pytest.raises(ValueError):
+                Certificate(cert.rule, cert.target, cert.direction, like, cert.witness)
+        for path, x in int_paths(cert.witness):
+            for like in (float(x), bool(x)):
+                bad = with_witness(cert, replace_at(cert.witness, path, like))
+                assert not verify_certificate(g, bad), (cert.rule, path, like)
+                tried += 1
+    assert tried > 0
+
+
+def test_loop_sign_must_be_the_int_one(reports):
+    g, report = reports["k5"]
+    cert = cert_of(report, "LoopSummand")
+    loop = cert.witness["loop"]
+    i = next(i for i, step in enumerate(loop) if step["sign"] == 1)
+    for like in (1.0, True):
+        bad = loop[:i] + [{**loop[i], "sign": like}] + loop[i + 1:]
+        assert not verify_certificate(g, with_witness(cert, {**cert.witness, "loop": bad}))
