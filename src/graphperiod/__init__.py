@@ -4,7 +4,13 @@ of a totally degenerate stable curve."""
 
 from .bounds import BoundsReport, analyze, period_lower_loop_summand, verify_certificate
 from .catalog import BUILTIN_NAMES, builtin
-from .cohomology import PathCocycle, class_order_bar, class_order_cyclic, class_order_exact
+from .cohomology import (
+    PathCocycle,
+    class_order_bar,
+    class_order_cyclic,
+    class_order_exact,
+    class_order_presented,
+)
 from .config import Config
 from .homology import fundamental_cycle_basis
 from .multigraph import Multigraph, genus, parse_graph, serialize
@@ -22,6 +28,7 @@ __all__ = [
     "class_order_bar",
     "class_order_cyclic",
     "class_order_exact",
+    "class_order_presented",
     "fundamental_cycle_basis",
     "genus",
     "parse_graph",

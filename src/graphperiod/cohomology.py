@@ -14,12 +14,26 @@ with n*c a coboundary; for cyclic H = <s> of order m there is a closed
 form: H^2(<s>, M) = M^s / N M with N = 1 + s + ... + s^(m-1), and the
 class corresponds to the invariant cycle N . P_s.
 
-For any other finite H (a Sylow subgroup, in class_order_exact) the order
-comes from the inhomogeneous bar complex of H.  Its coboundary columns are
-assembled sparse, straight into the lattice solver; no dense matrix is
-formed.  The full complex is used rather than the normalized one:
-normalizing would drop only 2/n of the rows and columns, and it would need
-c(1, 1) = 0 from a hand-built CocycleTable.
+For any other finite H = <X> (a Sylow subgroup, in class_order_exact) the
+order comes from a presentation of H, after Fox's free differential
+calculus.  A breadth-first spanning tree of the Cayley graph of H under
+left multiplication by X names each h by a word w_h; every non-tree edge
+(x, h) gives the relator x w_h = w_{xh}, and these |H|(|X| - 1) + 1
+relators present H.  In the extension of H by M that c defines, lift x to
+(m_x, x).  Relator (x, h) then evaluates to its tail
+tau = x.V_h + c(x, h) - V_{xh}, with V_{xh} = x.V_h + c(x, h) along the
+tree, plus the Fox Jacobian sum_y (x A_{h,y} + [x = y] - A_{xh,y}) m_y.
+The class is trivial exactly when some choice of the m_y kills every
+relator, so its order is the least n with n*tau in the span of the
+Jacobian columns: |X| * rank columns over one row per relator and
+coordinate, built from |X| * |H| cocycle values.
+
+The inhomogeneous bar complex (restrict, then class_order_bar) computes the
+same order from all |H|^2 cocycle values; it is kept only as the oracle's
+independent second route.  Its coboundary columns are assembled sparse,
+straight into the lattice solver.  The full complex is used rather than
+the normalized one: normalizing would drop only 2/n of the rows and
+columns, and it would need c(1, 1) = 0 from a hand-built CocycleTable.
 """
 
 from __future__ import annotations
@@ -30,12 +44,14 @@ from dataclasses import dataclass
 from .autgroup import GraphAutomorphism, from_combined, identity_automorphism
 from .config import Config
 from .homology import Chain, CycleLattice, chain_action, chain_add, norm
-from .intlinalg import LatticeSolver, Matrix, NoneUpTo
+from .intlinalg import LatticeSolver, Matrix, NoneUpTo, matmul, matvec
 from .permgroup import (
     Infeasible,
-    Overflow,
+    Perm,
     PermutationGroup,
     element_order,
+    identity,
+    mul,
     p_part,
     sylow_subgroup,
 )
@@ -196,6 +212,105 @@ def class_order_cyclic(cocycle: PathCocycle, sigma: GraphAutomorphism) -> int:
     return n
 
 
+Edge = tuple[int, int, int]
+
+
+def cayley_presentation(group: PermutationGroup) -> tuple[list[Perm], list[Edge], list[Edge]]:
+    """Breadth-first search of the Cayley graph of H = <X> (X =
+    group.generators) under left multiplication by X.
+
+    Returns (elements, tree, relators).  elements lists H in search order,
+    identity first.  Every edge is a triple (x, h, xh) of indices into X
+    and elements, with elements[xh] = X[x] * elements[h].  tree holds the
+    |H| - 1 edges that discover an element, in discovery order; relators
+    holds the |H|(|X| - 1) + 1 others, each the relator x w_h = w_{xh}.
+    """
+    ident = identity(group.degree)
+    index = {ident: 0}
+    elements = [ident]
+    tree: list[Edge] = []
+    relators: list[Edge] = []
+    for h, p in enumerate(elements):  # grows while scanned: a BFS queue
+        for x, q in enumerate(group.generators):
+            image = mul(q, p)
+            xh = index.get(image)
+            if xh is None:
+                xh = index[image] = len(elements)
+                elements.append(image)
+                tree.append((x, h, xh))
+            else:
+                relators.append((x, h, xh))
+    assert len(elements) == group.order(), "Cayley search disagrees with stabilizer chain"
+    return elements, tree, relators
+
+
+def _fox_step(action: Matrix, a_h: Matrix, same: bool) -> Matrix:
+    """x . A_{h,y} + [x = y] I: the Fox derivative of x w_h by y."""
+    out = matmul(action, a_h)
+    if same:
+        for i, row in enumerate(out):
+            row[i] += 1
+    return out
+
+
+def _fox_block(action: Matrix, a_h: Matrix, a_xh: Matrix, same: bool) -> Matrix:
+    """The Jacobian block of relator x w_h = w_{xh} for the unknown m_y."""
+    out = _fox_step(action, a_h, same)
+    for row, sub in zip(out, a_xh):
+        for j, v in enumerate(sub):
+            row[j] -= v
+    return out
+
+
+def class_order_presented(cocycle: PathCocycle, group: PermutationGroup) -> int:
+    """Order of the class restricted to the finite subgroup H = group of
+    Aut(graph), from the Cayley-graph presentation of H: the least n in
+    [1, |H|] with n * (tails) in the span of the Fox Jacobian columns.
+    |H| annihilates H^2, so |H| is a valid search bound.
+
+    Row i*g + r is coordinate r of relator i; column y*g + b is basis
+    vector b of the unknown m_y.
+    """
+    lattice = cocycle.lattice
+    g = lattice.rank
+    elements, tree, relators = cayley_presentation(group)
+    autos = [from_combined(cocycle.graph, p) for p in elements]
+    gens = [from_combined(cocycle.graph, q) for q in group.generators]
+    actions = [lattice.action_matrix(x) for x in gens]
+    ys = range(len(gens))
+    tails: list[list[int]] = [[0] * g for _ in elements]  # V_h
+    fox: list[list[Matrix]] = [[] for _ in elements]  # A_{h,y}
+    fox[0] = [[[0] * g for _ in range(g)] for _ in ys]
+
+    def lift(x: int, h: int) -> list[int]:
+        """x . V_h + c(x, h)"""
+        value = cocycle.value(gens[x], autos[h])
+        return [a + b for a, b in zip(matvec(actions[x], tails[h]), value)]
+
+    for x, h, xh in tree:
+        tails[xh] = lift(x, h)
+        fox[xh] = [_fox_step(actions[x], fox[h][y], x == y) for y in ys]
+    target: dict[int, int] = {}
+    columns: list[dict[int, int]] = [{} for _ in range(len(gens) * g)]
+    for i, (x, h, xh) in enumerate(relators):
+        for r, (lifted, known) in enumerate(zip(lift(x, h), tails[xh])):
+            if lifted != known:
+                target[i * g + r] = lifted - known
+        for y in ys:
+            block = _fox_block(actions[x], fox[h][y], fox[xh][y], x == y)
+            for r, row in enumerate(block):
+                for b, v in enumerate(row):
+                    if v:
+                        columns[y * g + b][i * g + r] = v
+    solver = LatticeSolver(len(relators) * g)
+    for col in columns:
+        solver.add_generator(col)
+    order = solver.least_multiple(target, len(elements))
+    if isinstance(order, NoneUpTo):  # pragma: no cover - annihilation bound
+        raise AssertionError("class order exceeded |H|; not a presentation?")
+    return order
+
+
 @dataclass(frozen=True)
 class SylowOrder:
     prime: int
@@ -214,8 +329,10 @@ def class_order_exact(
     to one Sylow subgroup per prime (restriction is injective on p-primary
     parts since corestriction . restriction = index).
 
-    Needs |G| within the enumeration cap and every Sylow subgroup within
-    the bar cap; otherwise returns Unknown(|G|).
+    Each restriction comes from the Sylow subgroup's Cayley-graph
+    presentation (class_order_presented).  Needs |G| within the
+    enumeration cap and every Sylow subgroup of order at most bar_cap;
+    otherwise returns Unknown(|G|).
     """
     order = group.order()
     if order == 1:
@@ -229,12 +346,7 @@ def class_order_exact(
         sub = sylow_subgroup(group, p, cap=enum_cap, seed=seed)
         if isinstance(sub, Infeasible):  # pragma: no cover - gated above
             return Unknown(order)
-        elements = sub.enumerate_elements(pk)
-        assert not isinstance(elements, Overflow)
-        autos = [from_combined(cocycle.graph, perm) for perm in elements]
-        table = restrict(cocycle, autos)
-        n = class_order_bar(table, cap=bar_cap)
-        assert isinstance(n, int)
+        n = class_order_presented(cocycle, sub)
         parts.append(SylowOrder(prime=p, subgroup_order=pk, class_order=n))
         total = math.lcm(total, n)
     return total, parts

@@ -19,7 +19,7 @@ def _flag(default: int, help_text: str):
 class Config:
     # caps
     max_enum: int = _flag(10**6, "element enumeration cap (exact Sylow needs it)")
-    bar_cap: int = _flag(32, "largest subgroup order for the bar complex")
+    bar_cap: int = _flag(32, "largest Sylow subgroup order for the exact class order")
     union_cap: int = _flag(4096, "max edge-orbit unions enumerated")
     subgraph_depth: int = _flag(1, "invariant-subgraph recursion depth")
     seed: int = _flag(0, "seed for randomized scans")
@@ -35,6 +35,10 @@ class Config:
 
     def __post_init__(self):
         for f in fields(self):
+            value = getattr(self, f.name)
+            # exactly int: True, 1.0 and "1" are not caps
+            if type(value) is not int:
+                raise ValueError(f"{f.name} must be an int, not {type(value).__name__}")
             low = 0 if f.name == "subgraph_depth" else 1
-            if f.name != "seed" and getattr(self, f.name) < low:
+            if f.name != "seed" and value < low:
                 raise ValueError(f"{f.name} must be >= {low}")

@@ -3,8 +3,9 @@ membership, and minimal-multiple solving.
 
 Everything is plain Python ints (arbitrary precision); there is no floating
 point anywhere.  Matrices are lists of row lists.  The lattice solver takes
-and keeps vectors sparse (dict coordinate -> value): the bar complex feeds it
-coboundary columns built sparse, which are long and mostly zero.
+and keeps vectors sparse (dict coordinate -> value): its long columns come
+built as dicts, the Fox Jacobian of a Sylow subgroup's presentation (one
+row per relator and coordinate) and, in the oracle, the bar complex.
 """
 
 from __future__ import annotations

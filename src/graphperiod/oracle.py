@@ -13,6 +13,7 @@ from random import Random
 from . import autgroup, catalog, cohomology, homology, intlinalg
 from .autgroup import GraphAutomorphism
 from .multigraph import GraphError, Multigraph, from_data
+from .permgroup import Overflow, PermutationGroup
 
 
 # --- random instances --------------------------------------------------------
@@ -98,6 +99,44 @@ def suite_cyclic_vs_bar(seed: int, instances: int = 50) -> list[str]:
                 f"graph {g.name!r} sigma {sigma.to_json_dict()['vertex_map']}: "
                 f"cyclic={fast} bar={slow}"
             )
+    return failures
+
+
+def suite_presentation_vs_bar(
+    seed: int, instances: int = 30, max_order: int = 64
+) -> list[str]:
+    """class_order_presented must equal class_order_bar on a nontrivial
+    subgroup of order <= max_order generated by 1-3 random automorphisms."""
+    rng = Random(seed)
+    failures = []
+    done = 0
+    attempts = 0
+    while done < instances and attempts < instances * 20:
+        attempts += 1
+        g = random_multigraph(rng)
+        gens = [random_automorphism(g, rng, max_order=12) for _ in range(rng.randint(1, 3))]
+        if None in gens:
+            continue
+        sub = PermutationGroup(len(g.vertices) + len(g.edges), [a.combined for a in gens])
+        elements = sub.enumerate_elements(max_order)
+        if isinstance(elements, Overflow) or len(elements) == 1:
+            continue
+        done += 1
+        cocycle = cohomology.PathCocycle(homology.fundamental_cycle_basis(g))
+        try:
+            fast: int | str = cohomology.class_order_presented(cocycle, sub)
+        except AssertionError as exc:  # a wrong presentation misses every n <= |H|
+            fast = f"AssertionError({exc})"
+        autos = [autgroup.from_combined(g, p) for p in elements]
+        slow = cohomology.class_order_bar(cohomology.restrict(cocycle, autos), cap=max_order)
+        if fast != slow:
+            failures.append(
+                f"graph {g.name!r} generators "
+                f"{[a.to_json_dict()['vertex_map'] for a in gens]}: "
+                f"presented={fast} bar={slow}"
+            )
+    if done < instances:
+        failures.append(f"only {done} of {instances} instances generated")
     return failures
 
 
@@ -228,6 +267,7 @@ def _functional_bruteforce(lattice, sigma, coords, bound: int) -> bool | None:
 
 SUITES = {
     "cyclic-vs-bar": suite_cyclic_vs_bar,
+    "presentation-vs-bar": suite_presentation_vs_bar,
     "automorphism-counts": lambda seed: suite_automorphism_counts(seed),
     "snf-contract": suite_snf_contract,
     "summand-criterion": suite_summand_criterion,

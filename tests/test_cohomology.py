@@ -13,15 +13,24 @@ from graphperiod.cohomology import (
     CocycleTable,
     PathCocycle,
     Unknown,
+    cayley_presentation,
     class_order_bar,
     class_order_cyclic,
     class_order_exact,
+    class_order_presented,
     cyclic_group_elements,
     restrict,
 )
 from graphperiod.homology import boundary, chain_action, chain_add, fundamental_cycle_basis
 from graphperiod.config import Config
-from graphperiod.permgroup import Infeasible, sylow_subgroup
+from graphperiod.permgroup import (
+    Infeasible,
+    PermutationGroup,
+    is_prime,
+    mul,
+    p_part,
+    sylow_subgroup,
+)
 
 from util import relabel, transfer_automorphism, vertex_cycle_automorphism
 
@@ -206,3 +215,68 @@ def test_class_order_independent_of_spanning_tree():
             assert class_order_cyclic(c, a) == class_order_cyclic(c2, b)
             checked += 1
     assert checked >= 20
+
+
+def test_cayley_presentation_shape():
+    g, lattice, c = make_cocycle("doubled-cycle-g3")
+    sub = sylow_subgroup(automorphism_group(g), 2, cap=Config.max_enum)
+    elements, tree, relators = cayley_presentation(sub)
+    n, k = sub.order(), len(sub.generators)
+    assert k >= 2 and len(set(elements)) == len(elements) == n
+    assert elements[0] == tuple(range(sub.degree))
+    assert len(tree) == n - 1 and len(relators) == n * (k - 1) + 1
+    assert [xh for _, _, xh in tree] == list(range(1, n))
+    for x, h, xh in tree + relators:
+        assert elements[xh] == mul(sub.generators[x], elements[h])
+    for x, h, xh in tree:
+        assert h < xh  # a parent is discovered before its child
+
+
+def test_presented_order_equals_bar_on_small_sylow_subgroups():
+    # every Sylow subgroup of order <= 32 of the builtins, at Sylow seeds
+    # 0-2; soccer's group is above the enumeration cap
+    checked = 0
+    for name in catalog.BUILTIN_NAMES:
+        g, lattice, c = make_cocycle(name)
+        group = automorphism_group(g)
+        if group.order() > Config.max_enum:
+            continue
+        for p in range(2, 33):
+            if not is_prime(p) or not 1 < p_part(group.order(), p) <= 32:
+                continue
+            for seed in range(3):
+                sub = sylow_subgroup(group, p, cap=Config.max_enum, seed=seed)
+                elements = [from_combined(g, q) for q in sub.enumerate_elements(32)]
+                bar = class_order_bar(restrict(c, elements), cap=32)
+                assert class_order_presented(c, sub) == bar, (name, p, seed)
+                checked += 1
+    assert checked == 36
+
+
+def test_presented_order_on_k5_sylow_5():
+    # one generator, one relator x^5 = 1: dropping it would give 1
+    g, lattice, c = make_cocycle("k5")
+    sub = sylow_subgroup(automorphism_group(g), 5, cap=Config.max_enum)
+    assert sub.order() == 5 and len(sub.generators) == 1
+    assert len(cayley_presentation(sub)[2]) == 1
+    assert class_order_presented(c, sub) == 5
+
+
+def test_presented_order_on_trivial_group():
+    g, lattice, c = make_cocycle("k5")
+    trivial = PermutationGroup(len(g.vertices) + len(g.edges), [])
+    assert class_order_presented(c, trivial) == 1
+
+
+@pytest.mark.parametrize(
+    "name,period",
+    [("doubled-cycle-g5", 4), ("doubled-cycle-g7", 6), ("doubled-cycle-g8", 7), ("doubled-k4", 2)],
+)
+def test_class_order_exact_at_bar_cap_256(name, period):
+    # Sylow-2 subgroups of order 128 and 256: seconds through the
+    # presentation, minutes and gigabytes through the bar complex
+    g, lattice, c = make_cocycle(name)
+    result = class_order_exact(c, automorphism_group(g), bar_cap=256)
+    assert isinstance(result, tuple)
+    assert result[0] == period == catalog.EXPECTED[name][1][0]
+    assert max(part.subgroup_order for part in result[1]) in (128, 256)

@@ -1,4 +1,4 @@
-from graphperiod import homology, oracle
+from graphperiod import cohomology, homology, oracle
 
 
 def test_suites_pass_default_seed():
@@ -42,3 +42,32 @@ def test_injected_sign_fault_is_caught(monkeypatch):
     finally:
         monkeypatch.setattr(homology, "chain_action", original)
     assert failures, "the oracle suite must detect a sign fault"
+
+
+def _presentation_fault_failures(monkeypatch, name, faulty) -> list[str]:
+    monkeypatch.setattr(cohomology, name, faulty)
+    return oracle.suite_presentation_vs_bar(0, instances=30, max_order=16)
+
+
+def test_injected_fox_sign_fault_is_caught(monkeypatch):
+    """Adding A_{xh,y} instead of subtracting it in the Jacobian block must
+    break the presentation-vs-bar equivalence on some instance."""
+    original = cohomology._fox_block
+
+    def faulty(action, a_h, a_xh, same):
+        return original(action, a_h, [[-v for v in row] for row in a_xh], same)
+
+    assert _presentation_fault_failures(monkeypatch, "_fox_block", faulty)
+
+
+def test_injected_dropped_relator_is_caught(monkeypatch):
+    """A presentation missing its first relator must break the
+    presentation-vs-bar equivalence on some instance: on a cyclic subgroup
+    it loses its only relator, x^m = 1."""
+    original = cohomology.cayley_presentation
+
+    def faulty(group):
+        elements, tree, relators = original(group)
+        return elements, tree, relators[1:]
+
+    assert _presentation_fault_failures(monkeypatch, "cayley_presentation", faulty)
