@@ -11,7 +11,9 @@ For every end-to-end metric of the change checkout's BENCHMARK.json it
 prints each side's median and quartiles and how many pairs the change won
 (ties count for neither side).  A gain holds when the change won at least
 nine tenths of the pairs and the medians differ by more than the distance
-between the parent's quartiles.
+between the parent's quartiles.  The last line of standard output is one
+JSON object with the same figures plus each side's per-pair values, the
+form a BENCH_<n>.json file collects.
 
 Usage: python3 scripts/ab_bench.py --parent DIR --change DIR --workload W
        --pairs N --seed S [--seconds T]
@@ -85,17 +87,27 @@ def main() -> int:
     print(f"\nworkload {args.workload}, {args.pairs} pairs, {seconds:g} s runs")
     print(f"{'metric':<12} {'parent median [q1, q3]':<32} {'change median [q1, q3]':<32} "
           f"{'change won':<11} gain")
+    summary = {"workload": args.workload, "pairs": args.pairs, "seed": args.seed,
+               "seconds": seconds, "metrics": {}}
     for m in metrics:
         name = m["name"]
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
+        values = {side: [r[name] for r in runs[side]] for side in sides}
         sign = 1 if m["better"] == "lower" else -1
-        won = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
-        pq, cq = quartiles(parent), quartiles(change)
+        won = sum(1 for p, c in zip(values["parent"], values["change"]) if sign * (p - c) > 0)
+        pq, cq = quartiles(values["parent"]), quartiles(values["change"])
         gain = won >= 0.9 * args.pairs and sign * (pq[1] - cq[1]) > pq[2] - pq[0]
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (pq, cq)]
         print(f"{name:<12} {cells[0]:<32} {cells[1]:<32} "
               f"{f'{won}/{args.pairs}':<11} {'yes' if gain else 'no'}")
+        summary["metrics"][name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            **{side: {"values": values[side], "median": q[1], "q1": q[0], "q3": q[2]}
+               for side, q in (("parent", pq), ("change", cq))},
+            "change_won": won,
+            "gain": gain,
+        }
+    print(json.dumps(summary))
     return 0
 
 

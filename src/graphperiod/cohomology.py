@@ -145,11 +145,14 @@ def restrict(cocycle: PathCocycle, elements: list[GraphAutomorphism]) -> Cocycle
     )
 
 
-def class_order_bar(table: CocycleTable, cap: int = Config.bar_cap) -> int | Infeasible:
+def class_order_bar(table: CocycleTable, cap: int) -> int | Infeasible:
     """Order of the class of the tabulated cocycle in H^2, computed against
     the inhomogeneous bar complex: least n with n*c in the image of
     d^1: C^1(H, M) -> C^2(H, M), (d f)(s, t) = s.f(t) - f(st) + f(s).
     |H| annihilates H^2, so |H| is a valid search bound.
+
+    cap (the largest |H| accepted) has no default: only the oracle runs
+    this route, and Config.bar_cap caps the presentation route instead.
 
     Row (s*n + t)*g + r is coordinate r of the value at the pair (s, t);
     column h*g + b is basis vector b of f(h).

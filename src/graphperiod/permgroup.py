@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from random import Random
 
 from .config import Config
@@ -209,7 +210,14 @@ class PermutationGroup:
         return residue == identity(self.degree)
 
     def enumerate_elements(self, cap: int) -> list[Perm] | Overflow:
-        """All elements in deterministic BFS order, or Overflow(|G|)."""
+        """All elements in deterministic BFS order, or Overflow(|G|).
+
+        Breadth-first from the identity: each frontier element p is
+        multiplied on the left by every generator in turn, mul(g, p), and
+        new products join the next frontier in that order.  The products
+        of one p go through a single itemgetter(*p), which maps g to
+        mul(g, p) but builds the tuple in C.
+        """
         if cap < 1:
             raise ValueError("cap must be >= 1")
         n = self.order()
@@ -218,12 +226,15 @@ class PermutationGroup:
         ident = identity(self.degree)
         seen = {ident}
         out = [ident]
-        frontier = [ident]
+        # without generators the group is {identity}; this also keeps
+        # itemgetter off degrees 0 and 1, where it raises or returns a scalar
+        frontier = [ident] if self.generators else []
         while frontier:
             nxt = []
             for p in frontier:
+                times_p = itemgetter(*p)
                 for g in self.generators:
-                    q = mul(g, p)
+                    q = times_p(g)
                     if q not in seen:
                         seen.add(q)
                         out.append(q)
@@ -281,25 +292,40 @@ def cyclic_subgroups(
     found: list[tuple[Perm, int]] = [(ident, 1)]
     generators: set[Perm] = {ident}
     for p in elements:
+        if p in generators:
+            # Exact skip: <p> = <r> for a recorded r, and r's prime-power
+            # parts were recorded with it, so p's parts (which generate the
+            # same subgroups) are all in generators too.  found is unchanged,
+            # so the next element makes the same max_subgroups check.
+            continue
         for q, m in _prime_power_parts(p):
             if not complete and len(found) >= max_subgroups:
                 return sorted(found, key=lambda t: (t[1], t[0])), False
             if q in generators:
                 continue
             found.append((q, m))
+            # q != identity here, so q has degree >= 2 and times_q returns a
+            # tuple; times_q(cur) = mul(cur, q), the next power of q
+            times_q = itemgetter(*q)
             cur = q
             for k in range(1, m):
                 if math.gcd(k, m) == 1:
                     generators.add(cur)
-                cur = mul(q, cur)
+                cur = times_q(cur)
     return sorted(found, key=lambda t: (t[1], t[0])), complete
 
 
 def _prime_power_parts(p: Perm) -> list[tuple[Perm, int]]:
-    """The element itself plus one generator per prime-power part of it."""
+    """The element itself plus one generator per prime-power part of it.
+
+    An element of prime-power order (or the identity) is its own only
+    part, so it is returned once."""
     m = element_order(p)
     out = [(p, m)]
-    for prime, e in _factor(m).items():
+    factors = _factor(m)
+    if len(factors) <= 1:
+        return out
+    for prime, e in factors.items():
         q = perm_power(p, m // prime**e)
         out.append((q, prime**e))
     return out

@@ -81,7 +81,7 @@ def test_restrict_to_trivial_subgroup_is_zero():
     table = restrict(c, [identity_automorphism(g)])
     assert table.size == 1
     assert set(table.values.values()) == {(0,) * lattice.rank}
-    assert class_order_bar(table) == 1
+    assert class_order_bar(table, cap=32) == 1
 
 
 def test_restrict_5_cycle_table_shape():

@@ -1,12 +1,17 @@
+import math
+from random import Random
+
 import pytest
 
 from graphperiod import catalog
 from graphperiod.autgroup import automorphism_group
+from graphperiod.config import Config
 from graphperiod.permgroup import (
     Infeasible,
     NotPrime,
     Overflow,
     PermutationGroup,
+    _factor,
     _prime_power_parts,
     cyclic_subgroups,
     element_order,
@@ -14,6 +19,7 @@ from graphperiod.permgroup import (
     inverse,
     mul,
     orbits,
+    perm_power,
     sylow_subgroup,
 )
 
@@ -159,3 +165,100 @@ def test_cyclic_subgroups_match_bruteforce(name):
     assert pairs == sorted(first_seen.values(), key=lambda t: (t[1], t[0]))
     assert set(first_seen) == set(subgroup.values())
     assert all(element_order(q) == m == len(subgroup[q]) for q, m in pairs)
+
+
+# --- the order every report depends on --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def aut_hybrid():
+    return automorphism_group(catalog.builtin("hybrid"))
+
+
+def _plain_bfs(group):
+    """Breadth-first from the identity, left-multiplying each frontier
+    element by every generator in order with mul(g, p)."""
+    ident = identity(group.degree)
+    seen, out, frontier = {ident}, [ident], [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in group.generators:
+                q = mul(g, p)
+                if q not in seen:
+                    seen.add(q)
+                    out.append(q)
+                    nxt.append(q)
+        frontier = nxt
+    return out
+
+
+@pytest.mark.parametrize("name", ["k5", "doubled-k4", "hybrid"])
+def test_enumerate_elements_is_the_plain_left_bfs(name, aut_hybrid):
+    group = aut_hybrid if name == "hybrid" else automorphism_group(catalog.builtin(name))
+    assert group.enumerate_elements(10**6) == _plain_bfs(group)
+
+
+def _scan_without_skip(group, cap, seed, max_subgroups):
+    """cyclic_subgroups' loop with no early skip: every element is visited
+    together with all of its prime-power parts, itself a second time when
+    its order is a prime power."""
+    enum = group.enumerate_elements(cap)
+    complete = not isinstance(enum, Overflow)
+    if complete:
+        elements = enum
+    else:
+        rng = Random(seed)
+        elements = list(group.generators) + [
+            group.random_element(rng, Config.max_word_length) for _ in range(Config.word_budget)
+        ]
+    ident = identity(group.degree)
+    found = [(ident, 1)]
+    generators = {ident}
+    for p in elements:
+        m = element_order(p)
+        parts = [(p, m)] + [(perm_power(p, m // r**e), r**e) for r, e in _factor(m).items()]
+        for q, k in parts:
+            if not complete and len(found) >= max_subgroups:
+                return sorted(found, key=lambda t: (t[1], t[0])), False
+            if q in generators:
+                continue
+            found.append((q, k))
+            cur = q
+            for j in range(1, k):
+                if math.gcd(j, k) == 1:
+                    generators.add(cur)
+                cur = mul(q, cur)
+    return sorted(found, key=lambda t: (t[1], t[0])), complete
+
+
+@pytest.mark.parametrize("max_subgroups", [10, 50, 400])
+def test_sampled_scan_truncates_where_the_unskipped_loop_does(aut_hybrid, max_subgroups):
+    for seed in range(3):
+        expected = _scan_without_skip(aut_hybrid, 1000, seed, max_subgroups)
+        got = cyclic_subgroups(aut_hybrid, cap=1000, seed=seed, max_subgroups=max_subgroups)
+        assert got == expected
+        assert got[1] is False
+        assert len(got[0]) == max_subgroups
+
+
+@pytest.mark.parametrize(
+    "degree, gens, elements, pairs",
+    [
+        (0, [], [()], [((), 1)]),
+        (1, [], [(0,)], [((0,), 1)]),
+        (2, [(1, 0)], [(0, 1), (1, 0)], [((0, 1), 1), ((1, 0), 2)]),
+    ],
+)
+def test_tiny_groups_enumerate_and_scan(degree, gens, elements, pairs):
+    group = PermutationGroup(degree, gens)
+    assert group.enumerate_elements(10) == elements
+    assert cyclic_subgroups(group, cap=10) == (pairs, True)
+
+
+def test_prime_power_parts_returns_a_prime_power_element_once():
+    four_cycle = (1, 2, 3, 0)
+    assert _prime_power_parts(four_cycle) == [(four_cycle, 4)]
+    assert _prime_power_parts(identity(4)) == [(identity(4), 1)]
+    six = (1, 2, 0, 4, 3)
+    assert _prime_power_parts(six) == [(six, 6), ((0, 1, 2, 4, 3), 2), ((2, 0, 1, 3, 4), 3)]
