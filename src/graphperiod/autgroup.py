@@ -57,6 +57,33 @@ class GraphAutomorphism:
         """(image edge, edge_sign) for every edge, in edge-index order."""
         return tuple((x, self.edge_sign(k)) for k, x in enumerate(self.eperm))
 
+    @cached_property
+    def signed_edge_cycles(self) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:
+        """For every edge k, (k0, c, L, S) describing the cycle of
+        signed_eperm through k.  k0 is the cycle's least edge and L its
+        length; S lists (k_i, c_i) for i = 0 .. L-1, where sigma^i e_k0 =
+        c_i e_k_i, and c is c_i at k, so that c S = e_k + sigma e_k + ... +
+        sigma^(L-1) e_k.  S is () when the cycle reverses signs (sigma^L
+        e_k0 = -e_k0).  Every edge of a cycle shares the cycle's S."""
+        signed = self.signed_eperm
+        table: list = [None] * len(signed)
+        for k0 in range(len(signed)):
+            if table[k0] is not None:
+                continue
+            orbit = []
+            k, c = k0, 1
+            while True:
+                orbit.append((k, c))
+                k, sign = signed[k]
+                c *= sign
+                if k == k0:
+                    break
+            length = len(orbit)
+            cycle = tuple(orbit) if c == 1 else ()
+            for k, c in orbit:
+                table[k] = (k0, c, length, cycle)
+        return tuple(table)
+
     def compose(self, other: "GraphAutomorphism") -> "GraphAutomorphism":
         """self after other (left action)."""
         return GraphAutomorphism(
@@ -75,6 +102,10 @@ class GraphAutomorphism:
         return GraphAutomorphism(self.graph, tuple(vinv), tuple(einv))
 
     def order(self) -> int:
+        return self._order
+
+    @cached_property
+    def _order(self) -> int:
         return permgroup.element_order(self.combined)
 
     def is_identity(self) -> bool:

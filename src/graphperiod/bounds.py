@@ -26,7 +26,7 @@ from .cohomology import PathCocycle, Unknown
 from .config import Config
 from .homology import Chain, CycleLattice, boundary, chain_action, chain_add, norm
 from .multigraph import GraphError, Multigraph, genus
-from .permgroup import PermutationGroup, cyclic_subgroups, element_order, orbits
+from .permgroup import PermutationGroup, cyclic_subgroups, orbits
 
 # Every certificate rule, with the targets it bounds and its direction.
 RULES = {
@@ -204,7 +204,7 @@ def period_lower_loop_summand(
     steps = _loop_steps(g, loop)
     if steps is None:
         return NotApplicable("loop is not a simple cycle")
-    m = element_order(sigma.combined)
+    m = sigma.order()
     if chain_action(sigma, loop) != loop:
         return NotApplicable("loop class is not fixed by the automorphism")
     if m == 1:
@@ -477,30 +477,21 @@ def _scan_loops_for_sigma(
 
 def _shortest_path_chain(g: Multigraph, start: int, goal: int) -> Chain | None:
     """BFS shortest path start -> goal as a chain (smallest edge id wins
-    ties), None if start == goal."""
+    ties), None if start == goal.  It is read off g's stored BFS tree from
+    start: a search that stopped once goal is reached would have set the
+    same tree edge at goal and at every vertex on its path, because a
+    search never rewrites the edge that first reached a vertex."""
     if start == goal:
         return None
-    prev: dict[int, tuple[int, int, int]] = {}
-    frontier = [start]
-    seen = {start}
-    while frontier and goal not in seen:
-        nxt = []
-        for v in frontier:
-            for k in g.incidence[v]:
-                w = g.other_end(k, v)
-                if w not in seen:
-                    seen.add(w)
-                    t, _ = g.edge_ends_idx[k]
-                    prev[w] = (v, k, 1 if t == v else -1)
-                    nxt.append(w)
-        frontier = nxt
-    if goal not in seen:
+    tree = g.bfs_tree(start)
+    if tree[goal] < 0:
         return None
     chain: Chain = {}
     v = goal
     while v != start:
-        pv, k, sign = prev[v]
-        chain[k] = sign
+        k = tree[v]
+        pv = g.other_end(k, v)
+        chain[k] = 1 if g.edge_ends_idx[k][0] == pv else -1
         v = pv
     return chain
 
@@ -525,7 +516,11 @@ def _cyclic_scan(
     certifies.  Both are exact: the rule certifies exactly element_order
     (sigma), and certificates are kept once per (rule, divisor), so any
     skipped test could only have yielded a discarded duplicate and an
-    add_lower of a divisor already present."""
+    add_lower of a divisor already present.  The cyclic restriction of
+    sigma is skipped, for the same reason, when a CyclicRestriction
+    certificate is already held for every divisor d > 1 of its order: the
+    restricted class order divides |<sigma>|, so it is 1 or one of those
+    d.  A skipped sigma still counts as processed."""
     pairs, complete = cyclic_subgroups(
         group,
         cap=config.max_enum,
@@ -560,7 +555,10 @@ def _cyclic_scan(
             break
         processed += 1
         sigma = from_combined(g, perm)
-        n = cohomology.class_order_cyclic(cocycle, sigma)
+        held = all(
+            ("CyclicRestriction", d) in seen for d in range(2, order + 1) if order % d == 0
+        )
+        n = 1 if held else cohomology.class_order_cyclic(cocycle, sigma)
         if n > 1:
             push(
                 Certificate(

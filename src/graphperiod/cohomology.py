@@ -49,7 +49,6 @@ from .permgroup import (
     Infeasible,
     Perm,
     PermutationGroup,
-    element_order,
     identity,
     mul,
     p_part,
@@ -197,7 +196,7 @@ def class_order_cyclic(cocycle: PathCocycle, sigma: GraphAutomorphism) -> int:
     """Order of the class restricted to <sigma>, by the closed form
     H^2(<sigma>, M) = M^sigma / N M: the least n with n * (N . P_sigma) in
     N M, where N = sum of the powers of the action."""
-    m = element_order(sigma.combined)
+    m = sigma.order()
     if m == 1:
         return 1
     lattice = cocycle.lattice

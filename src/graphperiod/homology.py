@@ -53,12 +53,28 @@ def chain_action(sigma: GraphAutomorphism, chain: Chain) -> Chain:
 
 def norm(sigma: GraphAutomorphism, m: int, chain: Chain) -> Chain:
     """The orbit sum N . chain with N = 1 + sigma + ... + sigma^(m-1),
-    where m is the order of sigma."""
-    total = dict(chain)
-    cur = chain
-    for _ in range(m - 1):
-        cur = chain_action(sigma, cur)
-        total = chain_add(total, cur)
+    where m is the order of sigma, in closed form per edge cycle.
+
+    Follow sigma's signed edge permutation around the cycle of e_k, of
+    length L and sign product eps (sigma^L e_k = eps e_k).  With S_k =
+    e_k + sigma e_k + ... + sigma^(L-1) e_k, N . e_k = (m/L) S_k when eps
+    = +1, and 0 when eps = -1 (then m/L is even and the m/L copies of S_k
+    cancel in pairs).  The edges of one cycle have S_k = +-S_k0, so the
+    chain's coefficients are first summed per cycle (see
+    GraphAutomorphism.signed_edge_cycles).  Zero entries are dropped."""
+    cycles = sigma.signed_edge_cycles
+    per_cycle: dict[int, int] = {}
+    for k, x in chain.items():
+        k0, c, length, _ = cycles[k]
+        assert m % length == 0, "the edge cycle length must divide m"
+        per_cycle[k0] = per_cycle.get(k0, 0) + c * x
+    total: Chain = {}
+    for k0, x in per_cycle.items():
+        if x:
+            _, _, length, cycle = cycles[k0]
+            scale = m // length * x
+            for k, c in cycle:
+                total[k] = scale * c
     return total
 
 
@@ -141,25 +157,18 @@ class CycleLattice:
 def fundamental_cycle_basis(g: Multigraph) -> CycleLattice:
     """Cycle basis from the canonical spanning tree.
 
-    BFS starts at the lexicographically smallest vertex id and scans the
-    incident edges of each dequeued vertex in edge-id order, so the tree,
-    the basis, and everything derived from them are deterministic.
+    The tree is g.bfs_tree from the lexicographically smallest vertex id,
+    which scans the incident edges of each vertex in edge-id order, so the
+    tree, the basis, and everything derived from them are deterministic.
     """
     root = g.vertex_index[min(g.vertices)]
+    tree = g.bfs_tree(root)
     parent: list[tuple[int, int, int] | None] = [None] * len(g.vertices)
-    visited = {root}
-    tree_edges: set[int] = set()
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for k in g.incidence[v]:
-            w = g.other_end(k, v)
-            if w not in visited:
-                visited.add(w)
-                t, _ = g.edge_ends_idx[k]
-                parent[w] = (v, k, 1 if t == v else -1)
-                tree_edges.add(k)
-                queue.append(w)
+    for w, k in enumerate(tree):
+        if k >= 0:
+            v = g.other_end(k, w)
+            parent[w] = (v, k, 1 if g.edge_ends_idx[k][0] == v else -1)
+    tree_edges = set(tree)
     nontree = tuple(k for k in g.edges_by_id if k not in tree_edges)
 
     lattice = CycleLattice(

@@ -137,6 +137,30 @@ class Multigraph:
             for pair, ks in classes.items()
         }
 
+    def bfs_tree(self, start: int) -> tuple[int, ...]:
+        """For every vertex index, the edge by which breadth-first search
+        from start first reaches it (-1 at start), each vertex scanning its
+        incident edges in edge-id order.  Built once per start vertex and
+        stored on this object, as cached_property stores incidence."""
+        trees = self.__dict__.setdefault("_bfs_trees", {})
+        tree = trees.get(start)
+        if tree is None:
+            reached = [-1] * len(self.vertices)
+            seen = {start}
+            frontier = [start]
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    for k in self.incidence[v]:
+                        w = self.other_end(k, v)
+                        if w not in seen:
+                            seen.add(w)
+                            reached[w] = k
+                            nxt.append(w)
+                frontier = nxt
+            tree = trees[start] = tuple(reached)
+        return tree
+
     def degree(self, v: str) -> int:
         return len(self.incidence[self.vertex_index[v]])
 

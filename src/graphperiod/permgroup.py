@@ -55,7 +55,7 @@ def element_order(p: Perm) -> int:
     """Least m >= 1 with p^m = identity (lcm of cycle lengths)."""
     n = len(p)
     seen = [False] * n
-    order = 1
+    lengths = set()
     for i in range(n):
         if seen[i]:
             continue
@@ -65,8 +65,8 @@ def element_order(p: Perm) -> int:
             seen[j] = True
             j = p[j]
             length += 1
-        order = math.lcm(order, length)
-    return order
+        lengths.add(length)
+    return math.lcm(*lengths)
 
 
 def perm_power(p: Perm, k: int) -> Perm:

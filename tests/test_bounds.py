@@ -11,6 +11,7 @@ from graphperiod.bounds import (
     NotApplicable,
     SoundnessError,
     _edge_orbits,
+    _shortest_path_chain,
     analyze,
     chain_from_vertex_cycle,
     index_upper_divisors,
@@ -261,3 +262,88 @@ def test_asymmetric_graph_trivial_class():
     assert report.period.resolved
     assert report.period.lower == 1  # parallel swaps fix all vertices
     assert report.index.upper % report.period.lower == 0
+
+
+# --- the cyclic scan ----------------------------------------------------------
+
+
+# hybrid certifies 4 but never 2, so none of its restrictions is skipped
+@pytest.mark.parametrize("name,min_skipped", [("soccer-doubled", 1), ("hybrid", 0)])
+def test_skipped_cyclic_restrictions_repeat_a_held_divisor(name, min_skipped, monkeypatch):
+    """Replay the scan's processed elements in order: every sigma whose
+    restriction the scan skipped has class order 1 or a divisor that an
+    earlier computed restriction already certified."""
+    from graphperiod import bounds, cohomology
+
+    g = catalog.builtin(name)
+    processed, computed = [], {}
+    real_from_combined = bounds.from_combined
+    real_class_order = cohomology.class_order_cyclic
+
+    def recording_from_combined(graph, perm):
+        sigma = real_from_combined(graph, perm)
+        if graph is g:
+            processed.append(sigma)
+        return sigma
+
+    def recording_class_order(cocycle, sigma):
+        n = real_class_order(cocycle, sigma)
+        if sigma.graph is g:
+            computed[sigma.combined] = n
+        return n
+
+    monkeypatch.setattr(bounds, "from_combined", recording_from_combined)
+    monkeypatch.setattr(cohomology, "class_order_cyclic", recording_class_order)
+    report = analyze(g, Config())
+    monkeypatch.undo()
+
+    cocycle = PathCocycle(fundamental_cycle_basis(g))
+    held: set[int] = set()
+    skipped = 0
+    for sigma in processed:
+        n = computed.get(sigma.combined)
+        if n is None:
+            skipped += 1
+            n = class_order_cyclic(cocycle, sigma)
+            assert n == 1 or n in held, (sigma.order(), n, held)
+        elif n > 1:
+            held.add(n)
+    assert skipped >= min_skipped
+    assert held == {c.divisor for c in report.certificates if c.rule == "CyclicRestriction"}
+
+
+def _early_stopping_path(g, start, goal):
+    """Level-by-level BFS from start that stops after the level reaching
+    goal; the path as a chain, None if start == goal."""
+    if start == goal:
+        return None
+    prev, frontier, seen = {}, [start], {start}
+    while frontier and goal not in seen:
+        nxt = []
+        for v in frontier:
+            for k in g.incidence[v]:
+                w = g.other_end(k, v)
+                if w not in seen:
+                    seen.add(w)
+                    t, _ = g.edge_ends_idx[k]
+                    prev[w] = (v, k, 1 if t == v else -1)
+                    nxt.append(w)
+        frontier = nxt
+    chain, v = {}, goal
+    while v != start:
+        v, k, sign = prev[v]
+        chain[k] = sign
+    return chain
+
+
+@pytest.mark.parametrize("name", ["soccer-doubled", "hybrid"])
+def test_shortest_path_chain_matches_an_early_stopping_bfs(name):
+    g = catalog.builtin(name)
+    n = len(g.vertices)
+    for start in range(n):
+        for goal in range(n):
+            path = _shortest_path_chain(g, start, goal)
+            expected = _early_stopping_path(g, start, goal)
+            assert path == expected
+            if path is not None:
+                assert list(path.items()) == list(expected.items())

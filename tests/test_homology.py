@@ -239,3 +239,50 @@ def test_coordinates_rejects_an_extra_tree_edge():
     assert [chain.get(e, 0) for e in L.nontree] == L.coordinates(z)
     with pytest.raises(ValueError):
         L.coordinates(chain)
+
+
+def _explicit_norm(sigma, m, chain):
+    """N . chain as the sum of the m translates sigma^i . chain."""
+    total: dict[int, int] = {}
+    for _ in range(m):
+        total = chain_add(total, chain)
+        chain = chain_action(sigma, chain)
+    return total
+
+
+def _reverses_an_edge_cycle(sigma) -> bool:
+    """Whether some edge comes back with sign -1 after its cycle, read
+    through chain_action alone."""
+    for k in range(len(sigma.eperm)):
+        chain = chain_action(sigma, {k: 1})
+        while k not in chain:
+            chain = chain_action(sigma, chain)
+        if chain[k] == -1:
+            return True
+    return False
+
+
+def test_closed_form_norm_matches_explicit_translates():
+    """norm equals the sum of the m translates through chain_action on
+    every unit chain and on a random chain, for every generator of four
+    builtins and 20 sampled soccer-doubled elements; sign-reversed edge
+    cycles, whose orbit sums vanish, are among them (30 of soccer's 149
+    generators have one)."""
+    from graphperiod.autgroup import automorphism_group, from_combined
+
+    rng = Random(8)
+    reversing = 0
+    for name in ("k5", "doubled-k4", "hybrid", "soccer-doubled"):
+        g = catalog.builtin(name)
+        sigmas = automorphism_generators(g)
+        if name == "soccer-doubled":
+            group = automorphism_group(g)
+            sigmas += [from_combined(g, group.random_element(rng, 12)) for _ in range(20)]
+            reversing = sum(_reverses_an_edge_cycle(s) for s in sigmas)
+        for sigma in sigmas:
+            m = sigma.order()
+            chains = [{k: 1} for k in range(len(g.edges))]
+            chains.append({k: rng.choice([-2, -1, 1, 3]) for k in range(len(g.edges))})
+            for chain in chains:
+                assert norm(sigma, m, chain) == _explicit_norm(sigma, m, chain)
+    assert reversing > 0

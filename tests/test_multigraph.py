@@ -132,3 +132,11 @@ def test_genus_invariant_under_relabeling(perm, rng):
     for extra in g.vertices[len(perm):]:
         mapping[extra] = f"y-{extra}"
     assert genus(relabel(g, mapping)) == genus(g)
+
+
+def test_bfs_trees_are_stored_per_graph_object():
+    a, b = parse_graph(K5_JSON), parse_graph(K5_JSON)
+    tree = a.bfs_tree(2)
+    assert a.bfs_tree(2) is tree
+    assert b.bfs_tree(2) == tree and b.bfs_tree(2) is not tree
+    assert tree[2] == -1 and all(k >= 0 for v, k in enumerate(tree) if v != 2)
