@@ -9,9 +9,10 @@ The cap flags and --seed are generated from the Config fields that carry
 CLI help; analyze takes all of them, oracle only --seed.
 
 Exit codes: 0 report produced / all oracles pass, 1 input error (including
-an invalid cap value), 2 no bound established under the caps, 3 oracle
-mismatch, 4 an internal check failed: a SoundnessError or any other
-AssertionError (a bug in graphperiod, never a result).
+an invalid cap value), 2 the analysis raised an exception other than an
+AssertionError (for example MemoryError), 3 oracle mismatch, 4 an internal
+check failed: a SoundnessError or any other AssertionError (a bug in
+graphperiod, never a result).
 """
 
 from __future__ import annotations
@@ -122,9 +123,6 @@ def cmd_analyze(args) -> int:
         return 4
     except Exception as exc:  # resource exhaustion
         print(f"analysis failed: {exc}", file=sys.stderr)
-        return 2
-    if not report.period.upper and not report.index.upper and report.period.lower == 1:
-        print("no bound established under the configured caps", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))

@@ -205,9 +205,7 @@ def class_order_cyclic(cocycle: PathCocycle, sigma: GraphAutomorphism) -> int:
         return 1
     solver = LatticeSolver(lattice.rank)
     for z in lattice.basis:
-        solver.add_generator({
-            i: x for i, x in enumerate(lattice.coordinates(norm(sigma, m, z))) if x
-        })
+        solver.add_generator(lattice.coordinates(norm(sigma, m, z)))
     n = solver.least_multiple(target, m)
     if isinstance(n, NoneUpTo):  # pragma: no cover - annihilation bound
         raise AssertionError("restricted class order exceeded |<sigma>|")

@@ -1,5 +1,11 @@
-"""Exact integer matrix algebra: Smith normal form, Hermite-form lattice
-membership, and minimal-multiple solving.
+"""Exact integer matrix algebra: Smith normal form, and lattice membership
+with least multiples.
+
+LatticeSolver answers whether a vector lies in the span of its generators,
+and the least n with n*vec inside, from a Hermite form; it keeps no
+coordinates over the generators.  minimal_multiple_snf answers the same
+question for the columns of a matrix through a Smith decomposition, with a
+witness, and is the reference the tests and the oracle hold it to.
 
 Everything is plain Python ints (arbitrary precision); there is no floating
 point anywhere.  Matrices are lists of row lists.  The lattice solver takes
@@ -206,20 +212,29 @@ def diagonal(s: Matrix) -> list[int]:
 
 class LatticeSolver:
     """The sublattice of Z^n spanned by a set of generator vectors, held in
-    integer row-echelon (Hermite) form with bookkeeping so that membership
-    queries also return coordinates over the original generators."""
+    integer row-echelon (Hermite) form: one sparse row per pivot column,
+    the least column where the row is nonzero."""
 
     def __init__(self, n: int):
         self.n = n
-        self.num_gens = 0
-        # echelon rows as (pivot column, sparse row dict, sparse combo dict)
-        self.rows: list[tuple[int, dict[int, int], dict[int, int]]] = []
+        self.rows: dict[int, dict[int, int]] = {}
 
     def add_generator(self, vec: dict[int, int] | list[int]):
         row = self._to_sparse(vec)
-        combo = {self.num_gens: 1}
-        self.num_gens += 1
-        self._insert(row, combo)
+        while row:
+            pivot = min(row)
+            erow = self.rows.get(pivot)
+            if erow is None:
+                self.rows[pivot] = row
+                return
+            a, b = erow[pivot], row[pivot]
+            if b % a == 0:
+                row = _axpy(row, erow, -(b // a))
+            else:
+                # replace the echelon row by the gcd combination
+                g, x, y = _xgcd(a, b)
+                self.rows[pivot] = _combine(erow, x, row, y)
+                row = _combine(erow, -(b // g), row, a // g)
 
     def _to_sparse(self, vec) -> dict[int, int]:
         if isinstance(vec, dict):
@@ -228,58 +243,19 @@ class LatticeSolver:
             raise DimensionMismatch("vector length")
         return {j: x for j, x in enumerate(vec) if x}
 
-    def _insert(self, row: dict[int, int], combo: dict[int, int]):
+    def contains(self, vec) -> bool:
+        """Reduce vec by the echelon rows, pivots in increasing order.  It
+        lies outside at the first leading column that has no echelon row or
+        whose pivot entry does not divide it: the rows left have larger
+        pivots and cannot touch that column."""
+        row = self._to_sparse(vec)
         while row:
             pivot = min(row)
-            pos = self._find(pivot)
-            if pos is None:
-                self.rows.append((pivot, row, combo))
-                self.rows.sort(key=lambda t: t[0])
-                return
-            _, erow, ecombo = self.rows[pos]
-            a, b = erow[pivot], row[pivot]
-            if b % a == 0:
-                q = b // a
-                row = _axpy(row, erow, -q)
-                combo = _axpy(combo, ecombo, -q)
-            else:
-                # replace the echelon row by the gcd combination
-                g, x, y = _xgcd(a, b)
-                new_row = _combine(erow, x, row, y)
-                new_combo = _combine(ecombo, x, combo, y)
-                qa, qb = a // g, b // g
-                red_row = _combine(erow, -qb, row, qa)
-                red_combo = _combine(ecombo, -qb, combo, qa)
-                self.rows[pos] = (pivot, new_row, new_combo)
-                row, combo = red_row, red_combo
-
-    def _find(self, pivot: int) -> int | None:
-        lo, hi = 0, len(self.rows)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.rows[mid][0] < pivot:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.rows) and self.rows[lo][0] == pivot:
-            return lo
-        return None
-
-    def reduce(self, vec) -> tuple[dict[int, int], dict[int, int]]:
-        """Return (residual, combo) with vec = combo . generators + residual."""
-        row = self._to_sparse(vec)
-        combo: dict[int, int] = {}
-        for pivot, erow, ecombo in self.rows:
-            x = row.get(pivot)
-            if x and x % erow[pivot] == 0:
-                q = x // erow[pivot]
-                row = _axpy(row, erow, -q)
-                combo = _axpy(combo, ecombo, q)
-        return row, combo
-
-    def contains(self, vec) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
+            erow = self.rows.get(pivot)
+            if erow is None or row[pivot] % erow[pivot]:
+                return False
+            row = _axpy(row, erow, -(row[pivot] // erow[pivot]))
+        return True
 
     def least_multiple(self, vec, bound: int) -> int | NoneUpTo:
         """Least n in [1, bound] with n*vec in the lattice."""
@@ -288,16 +264,6 @@ class LatticeSolver:
             if self.contains({j: n * x for j, x in row.items()}):
                 return n
         return NoneUpTo(bound)
-
-    def coordinates(self, vec) -> list[int] | None:
-        """Coordinates over the original generators, or None if outside."""
-        residual, combo = self.reduce(vec)
-        if residual:
-            return None
-        out = [0] * self.num_gens
-        for k, x in combo.items():
-            out[k] = x
-        return out
 
 
 def _axpy(a: dict[int, int], b: dict[int, int], q: int) -> dict[int, int]:
@@ -338,41 +304,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def column_lattice(d: Matrix) -> LatticeSolver:
-    """LatticeSolver spanned by the columns of d."""
-    if not d:
-        raise ValueError("matrix must be nonempty")
-    rows, cols = len(d), len(d[0])
-    solver = LatticeSolver(rows)
-    for j in range(cols):
-        solver.add_generator({i: d[i][j] for i in range(rows) if d[i][j]})
-    return solver
-
-
-def minimal_multiple_in_image(
-    d: Matrix, c: list[int], bound: int, method: str = "hnf"
+def minimal_multiple_snf(
+    d: Matrix, c: list[int], bound: int
 ) -> tuple[int, list[int]] | NoneUpTo:
     """Least n in [1, bound] with n*c in the integer column span of d,
-    together with a witness x satisfying d @ x = n*c.
-
-    method="hnf" reduces against the Hermite form of the column lattice;
-    method="snf" solves through a Smith decomposition.  Both give the same
-    answer (the valid n form an ideal of Z).
+    together with a witness x satisfying d @ x = n*c, solved through a
+    Smith decomposition.  The independent reference for LatticeSolver.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if not d or len(c) != len(d):
-        raise DimensionMismatch(f"need len(c) == rows(d)")
-    if method == "snf":
-        return _minimal_multiple_snf(d, c, bound)
-    solver = column_lattice(d)
-    n = solver.least_multiple(c, bound)
-    if isinstance(n, NoneUpTo):
-        return n
-    return n, solver.coordinates([n * x for x in c])
-
-
-def _minimal_multiple_snf(d: Matrix, c: list[int], bound: int):
+        raise DimensionMismatch("need len(c) == rows(d)")
     u, s, v = smith_normal_form(d)
     cols = len(d[0])
     diag = diagonal(s)

@@ -160,7 +160,9 @@ def suite_automorphism_counts(seed: int) -> list[str]:
 
 def suite_snf_contract(seed: int, instances: int = 60) -> list[str]:
     """U*A*V = S exactly, U and V unimodular, diagonal divisibility chain;
-    also both minimal-multiple routes must agree."""
+    also the Hermite-form LatticeSolver over the columns of A must give the
+    same least multiple as the Smith route, whose witness must satisfy
+    A x = n c."""
     rng = Random(seed)
     failures = []
     for k in range(instances):
@@ -182,14 +184,16 @@ def suite_snf_contract(seed: int, instances: int = 60) -> list[str]:
         if any(s[i][j] for i in range(rows) for j in range(cols) if i != j):
             failures.append(f"instance {k}: S not diagonal")
         c = [rng.randint(-4, 4) for _ in range(rows)]
-        r1 = intlinalg.minimal_multiple_in_image(a, c, bound=12, method="hnf")
-        r2 = intlinalg.minimal_multiple_in_image(a, c, bound=12, method="snf")
-        n1 = r1[0] if isinstance(r1, tuple) else None
-        n2 = r2[0] if isinstance(r2, tuple) else None
+        solver = intlinalg.LatticeSolver(rows)
+        for j in range(cols):
+            solver.add_generator([row[j] for row in a])
+        n1 = solver.least_multiple(c, 12)
+        r2 = intlinalg.minimal_multiple_snf(a, c, bound=12)
+        n2 = r2[0] if isinstance(r2, tuple) else r2
         if n1 != n2:
             failures.append(f"instance {k}: hnf={n1} snf={n2} for {a}, {c}")
-        if isinstance(r1, tuple):
-            n, x = r1
+        if isinstance(r2, tuple):
+            n, x = r2
             if intlinalg.matvec(a, x) != [n * y for y in c]:
                 failures.append(f"instance {k}: witness does not satisfy D x = n c")
     return failures
@@ -268,7 +272,7 @@ def _functional_bruteforce(lattice, sigma, coords, bound: int) -> bool | None:
 SUITES = {
     "cyclic-vs-bar": suite_cyclic_vs_bar,
     "presentation-vs-bar": suite_presentation_vs_bar,
-    "automorphism-counts": lambda seed: suite_automorphism_counts(seed),
+    "automorphism-counts": suite_automorphism_counts,
     "snf-contract": suite_snf_contract,
     "summand-criterion": suite_summand_criterion,
 }

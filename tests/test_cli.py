@@ -116,7 +116,7 @@ def test_soundness_error_has_its_own_exit_code(monkeypatch, capsys):
 
 
 def test_internal_assertion_exits_4_not_2(monkeypatch, capsys):
-    # an internal AssertionError is a bug, not "no bound under the caps"
+    # an internal AssertionError is a bug, not a failed analysis (exit 2)
     from graphperiod import cli
 
     def broken(graph, config):
@@ -128,6 +128,19 @@ def test_internal_assertion_exits_4_not_2(monkeypatch, capsys):
     assert code == 4
     assert "bug" in err and "cocycle order exceeded" in err
 
+
+
+def test_other_analysis_exception_exits_2(monkeypatch, capsys):
+    from graphperiod import cli
+
+    def exhausted(graph, config):
+        raise MemoryError("cannot allocate the element list")
+
+    monkeypatch.setattr(cli, "analyze", exhausted)
+    code = main(["analyze", "--builtin", "k5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "analysis failed" in err and "cannot allocate" in err
 
 def test_oracle_takes_only_the_seed_flag(capsys):
     assert build_parser().parse_args(["oracle", "--seed", "3"]).seed == 3

@@ -1,3 +1,4 @@
+from math import gcd
 from random import Random
 
 import pytest
@@ -6,14 +7,14 @@ from hypothesis import strategies as st
 
 from graphperiod.intlinalg import (
     DimensionMismatch,
+    LatticeSolver,
     NoneUpTo,
-    column_lattice,
     det_bareiss,
     diagonal,
     identity_matrix,
     matmul,
     matvec,
-    minimal_multiple_in_image,
+    minimal_multiple_snf,
     smith_normal_form,
 )
 
@@ -84,16 +85,26 @@ def test_snf_contract_hypothesis(a):
     check_snf_contract(a)
 
 
+def column_solver(d):
+    """LatticeSolver spanned by the columns of d."""
+    solver = LatticeSolver(len(d))
+    for j in range(len(d[0])):
+        solver.add_generator([row[j] for row in d])
+    return solver
+
+
 def test_minimal_multiple_identity():
-    n, x = minimal_multiple_in_image(identity_matrix(3), [4, -1, 7], bound=5)
+    n, x = minimal_multiple_snf(identity_matrix(3), [4, -1, 7], bound=5)
     assert n == 1
     assert x == [4, -1, 7]
+    assert column_solver(identity_matrix(3)).least_multiple([4, -1, 7], 5) == 1
 
 
 def test_minimal_multiple_single_entry():
-    n, x = minimal_multiple_in_image([[2]], [1], bound=4)
+    n, x = minimal_multiple_snf([[2]], [1], bound=4)
     assert n == 2
     assert x == [1]
+    assert column_solver([[2]]).least_multiple([1], 4) == 2
 
 
 def test_minimal_multiple_diag_2_3():
@@ -105,19 +116,27 @@ def test_minimal_multiple_diag_2_3():
             expected = n
             break
     assert expected == 6
-    n, x = minimal_multiple_in_image(d, [1, 1], bound=6)
+    n, x = minimal_multiple_snf(d, [1, 1], bound=6)
     assert n == 6
     assert matvec(d, x) == [6, 6]
+    assert column_solver(d).least_multiple([1, 1], 6) == 6
 
 
 def test_minimal_multiple_none_up_to():
-    result = minimal_multiple_in_image([[2]], [1], bound=1)
-    assert result == NoneUpTo(bound=1)
+    assert minimal_multiple_snf([[2]], [1], bound=1) == NoneUpTo(bound=1)
+    assert column_solver([[2]]).least_multiple([1], 1) == NoneUpTo(bound=1)
+
+
+def test_minimal_multiple_bound_must_be_positive():
+    with pytest.raises(ValueError):
+        minimal_multiple_snf([[2]], [1], bound=0)
 
 
 def test_minimal_multiple_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        minimal_multiple_in_image([[1, 0]], [1, 2], bound=3)
+        minimal_multiple_snf([[1, 0]], [1, 2], bound=3)
+    with pytest.raises(DimensionMismatch):
+        column_solver([[1, 0]]).least_multiple([1, 2], 3)
 
 
 def test_minimal_multiple_routes_agree():
@@ -126,14 +145,13 @@ def test_minimal_multiple_routes_agree():
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         d = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         c = [rng.randint(-4, 4) for _ in range(rows)]
-        r1 = minimal_multiple_in_image(d, c, bound=12, method="hnf")
-        r2 = minimal_multiple_in_image(d, c, bound=12, method="snf")
-        if isinstance(r1, NoneUpTo):
+        n1 = column_solver(d).least_multiple(c, 12)
+        r2 = minimal_multiple_snf(d, c, bound=12)
+        if isinstance(n1, NoneUpTo):
             assert isinstance(r2, NoneUpTo)
         else:
             assert not isinstance(r2, NoneUpTo)
-            assert r1[0] == r2[0]
-            assert matvec(d, r1[1]) == [r1[0] * y for y in c]
+            assert n1 == r2[0]
             assert matvec(d, r2[1]) == [r2[0] * y for y in c]
 
 
@@ -143,8 +161,8 @@ def test_minimal_multiple_minimality_brute_force():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         d = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         c = [rng.randint(-3, 3) for _ in range(rows)]
-        result = minimal_multiple_in_image(d, c, bound=10)
-        solver = column_lattice(d)
+        result = minimal_multiple_snf(d, c, bound=10)
+        solver = column_solver(d)
         memberships = [n for n in range(1, 11) if solver.contains([n * x for x in c])]
         if isinstance(result, NoneUpTo):
             assert memberships == []
@@ -153,9 +171,33 @@ def test_minimal_multiple_minimality_brute_force():
 
 
 def test_lattice_solver_membership():
-    solver = column_lattice([[2, 0], [0, 4]])
+    solver = column_solver([[2, 0], [0, 4]])
     assert solver.contains([2, 4])
     assert not solver.contains([1, 0])
     assert solver.contains([0, 0])
-    coords = solver.coordinates([4, -8])
-    assert coords == [2, -2]
+    assert solver.contains([4, -8])
+
+
+def test_contains_matches_smith_membership_for_every_multiple():
+    # The first two columns share their pivot with entries 2 and 3, neither
+    # dividing the other, so add_generator replaces the echelon row by the
+    # gcd combination.  Most targets are d y / gcd(d y): in the rational
+    # span, with a least multiple that is often above 1.
+    rng = Random(3)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(0, 2)
+        d = [[2, 3] + [rng.randint(-6, 6) for _ in range(cols)]]
+        d += [[2 * rng.randint(-3, 3), 3 * rng.randint(-3, 3)]
+              + [rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows - 1)]
+        if rng.random() < 0.75:
+            c = matvec(d, [rng.randint(-3, 3) for _ in range(cols + 2)])
+            g = gcd(*c)
+            if g:
+                c = [x // g for x in c]
+        else:
+            c = [rng.randint(-4, 4) for _ in range(rows)]
+        solver = column_solver(d)
+        for n in range(1, 13):
+            target = [n * x for x in c]
+            in_span = isinstance(minimal_multiple_snf(d, target, bound=1), tuple)
+            assert solver.contains(target) == in_span, (d, c, n)
