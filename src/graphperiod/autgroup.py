@@ -1,11 +1,18 @@
 """Automorphisms of a multigraph: compatible vertex+edge permutation pairs.
 
 Generators come from two sources: vertex automorphisms of the
-multiplicity-labeled simple quotient graph, found by a backtracking search
-with iterated partition refinement and lifted to one edge map each, plus
-one transposition per adjacent pair of parallel edges.  Every multigraph
-automorphism factors as (lifted quotient automorphism) * (permutation
-inside parallel classes), so this generating set is complete.
+multiplicity-labeled simple quotient graph, lifted to one edge map each,
+plus one transposition per adjacent pair of parallel edges.  Every
+multigraph automorphism factors as (lifted quotient automorphism) *
+(permutation inside parallel classes), so this generating set is complete.
+
+The quotient automorphisms come from a backtracking search with iterated
+partition refinement and orbit pruning (McKay, Practical graph
+isomorphism, 1981).  On the identity path it skips a branch whose vertex
+is already in the orbit of the node's first vertex under the automorphisms
+found below that node; off the path it stops at the first automorphism.
+What it finds generates the quotient's automorphism group, and the full
+sorted list is the closure of those generators.
 """
 
 from __future__ import annotations
@@ -189,7 +196,8 @@ def _refine(mult, colors: list, n: int) -> list[int]:
 
 
 def quotient_vertex_automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
-    """All vertex permutations preserving adjacency with multiplicities."""
+    """All vertex permutations preserving adjacency with multiplicities,
+    sorted: the closure of the generators the pruned search finds."""
     n = len(g.vertices)
     mult = _multiplicity_table(g)
     base = _refine(mult, [0] * n, n)
@@ -198,7 +206,9 @@ def quotient_vertex_automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
     def consistent(cd: list[int], ci: list[int]) -> bool:
         return sorted(cd) == sorted(ci)
 
-    def rec(cd: list[int], ci: list[int], tag: int):
+    def rec(cd: list[int], ci: list[int], tag: int) -> bool:
+        """Search below the node (cd, ci); True once a leaf below it is an
+        automorphism.  Off the identity path (cd != ci) it stops there."""
         cells: dict[int, list[int]] = {}
         for v in range(n):
             cells.setdefault(cd[v], []).append(v)
@@ -217,22 +227,30 @@ def quotient_vertex_automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
             for v in range(n):
                 for w, m in mult[v].items():
                     if mult[image[v]].get(image[w], 0) != m:
-                        return
+                        return False
             found.append(tuple(image))
-            return
+            return True
         a = cells[target][0]
+        on_path = cd == ci
+        start = len(found)
         candidates = [v for v in range(n) if ci[v] == target]
         for b in candidates:
+            # b = a comes first; a later b in a's orbit under what was found
+            # below this node would only yield products of those automorphisms
+            if on_path and b != a and b in permgroup.orbits(n, found[start:], [a])[0]:
+                continue
             nd, ni = list(cd), list(ci)
             nd[a] = tag
             ni[b] = tag
             nd = _refine(mult, nd, n)
             ni = _refine(mult, ni, n)
-            if consistent(nd, ni):
-                rec(nd, ni, tag + 1)
+            if consistent(nd, ni) and rec(nd, ni, tag + 1) and not on_path:
+                return True
+        return on_path
 
     rec(list(base), list(base), n + 1)
-    return sorted(found)
+    closure = PermutationGroup(n, found)
+    return sorted(closure.enumerate_elements(closure.order()))
 
 
 def _lift_edge_map(g: Multigraph, vperm: tuple[int, ...]) -> tuple[int, ...]:

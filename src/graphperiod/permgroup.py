@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from random import Random
 
@@ -100,6 +101,12 @@ class PermutationGroup:
     concurrent reads.  Generators stored at level i fix the base points of
     all earlier levels; the generating set of the i-th stabilizer is the
     union of the generators at levels i and deeper.
+
+    Each input generator and each Schreier generator is sifted through the
+    chain built so far and skipped if it is a member.  A non-trivial residue
+    is stored at the level where its sift stopped, and the levels from there
+    up to the one being completed are completed again (Seress, Permutation
+    Group Algorithms, 4.2).  self.generators keeps the input generators.
     """
 
     def __init__(self, degree: int, generators: list[Perm]):
@@ -117,20 +124,25 @@ class PermutationGroup:
         self.generators: tuple[Perm, ...] = tuple(gens)
         self._levels: list[_ChainLevel] = []
         for g in self.generators:
-            self._add_generator(g, 0)
-        self._complete(0)
+            residue, stop = self._sift(g)
+            if residue != self._identity:
+                self._insert(residue, stop, 0)
 
     # --- Schreier-Sims ---------------------------------------------------
 
     def _gens_from(self, i: int) -> list[Perm]:
         return [g for level in self._levels[i:] for g in level.gens]
 
-    def _add_generator(self, p: Perm, slot: int):
-        """Store p at chain position slot; p must fix the bases above."""
-        if slot == len(self._levels):
-            base = next(i for i, x in enumerate(p) if x != i)
+    def _insert(self, residue: Perm, stop: int, top: int):
+        """Store a non-trivial sift residue at level stop, where its sift
+        stopped (a new last level if it passed every level), then complete
+        levels stop down to top again."""
+        if stop == len(self._levels):
+            base = next(i for i, x in enumerate(residue) if x != i)
             self._levels.append(_ChainLevel(base, self._identity))
-        self._levels[slot].gens.append(p)
+        self._levels[stop].gens.append(residue)
+        for j in range(stop, top - 1, -1):
+            self._complete(j)
 
     def _extend_transversal(self, i: int):
         """Grow the orbit of base_i under the i-th stabilizer generators,
@@ -181,10 +193,9 @@ class PermutationGroup:
                     schreier = mul(inverse(level.transversal[g[pt]]), mul(g, rep))
                     if schreier == self._identity:
                         continue
-                    residue, _ = self._sift_from(schreier, i + 1)
+                    residue, stop = self._sift_from(schreier, i + 1)
                     if residue != self._identity:
-                        self._add_generator(residue, i + 1)
-                        self._complete(i + 1)
+                        self._insert(residue, stop, i + 1)
                         added = True
                         break
                 if added:
@@ -243,14 +254,18 @@ class PermutationGroup:
         assert len(out) == n, "enumeration disagrees with stabilizer chain"
         return out
 
+    @cached_property
+    def _generators_and_inverses(self) -> tuple[tuple[Perm, Perm], ...]:
+        return tuple((g, inverse(g)) for g in self.generators)
+
     def random_element(self, rng: Random, word_length: int = 10) -> Perm:
         if not self.generators:
             return identity(self.degree)
         p = identity(self.degree)
         for _ in range(rng.randint(1, word_length)):
-            g = rng.choice(self.generators)
+            g, g_inv = rng.choice(self._generators_and_inverses)
             if rng.random() < 0.5:
-                g = inverse(g)
+                g = g_inv
             p = mul(g, p)
         return p
 

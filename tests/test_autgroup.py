@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -5,14 +6,17 @@ import pytest
 from graphperiod import catalog
 from graphperiod.autgroup import (
     GraphAutomorphism,
+    _multiplicity_table,
+    _refine,
     automorphism_generators,
     automorphism_group,
     count_automorphisms_bruteforce,
     from_combined,
     from_json_dict,
     identity_automorphism,
+    quotient_vertex_automorphisms,
 )
-from graphperiod.multigraph import parse_graph
+from graphperiod.multigraph import Edge, Multigraph, parse_graph
 
 
 @pytest.mark.parametrize(
@@ -145,3 +149,95 @@ def test_from_json_dict_rejects_unknown_id(where):
         d["vertex_map"][v] = "nowhere"
     with pytest.raises(ValueError):
         from_json_dict(g, d)
+
+
+# --- the pruned quotient search against the exhaustive one ----------------
+
+
+def _exhaustive_quotient_search(g):
+    """Every leaf of the individualization-refinement tree, unpruned: the
+    search quotient_vertex_automorphisms ran before it pruned by orbits."""
+    n = len(g.vertices)
+    mult = _multiplicity_table(g)
+    base = _refine(mult, [0] * n, n)
+    found = []
+
+    def rec(cd, ci, tag):
+        cells = {}
+        for v in range(n):
+            cells.setdefault(cd[v], []).append(v)
+        target = next((c for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            by_color = {ci[v]: v for v in range(n)}
+            image = [by_color[cd[v]] for v in range(n)]
+            if all(
+                mult[image[v]].get(image[w], 0) == m
+                for v in range(n)
+                for w, m in mult[v].items()
+            ):
+                found.append(tuple(image))
+            return
+        a = cells[target][0]
+        for b in [v for v in range(n) if ci[v] == target]:
+            nd, ni = list(cd), list(ci)
+            nd[a] = tag
+            ni[b] = tag
+            nd = _refine(mult, nd, n)
+            ni = _refine(mult, ni, n)
+            if sorted(nd) == sorted(ni):
+                rec(nd, ni, tag + 1)
+
+    rec(list(base), list(base), n + 1)
+    return sorted(found)
+
+
+def _reordered(g, seed):
+    """g with its stored vertex order shuffled and every vertex renamed, so
+    the search meets the vertices in another order."""
+    order = list(g.vertices)
+    Random(seed).shuffle(order)
+    name = {v: f"x{i}" for i, v in enumerate(order)}
+    return Multigraph(
+        name=g.name + "-reordered",
+        vertices=tuple(name[v] for v in order),
+        edges=tuple(Edge(e.id, name[e.tail], name[e.head]) for e in g.edges),
+    )
+
+
+_SEARCH_CASES = [(name, None) for name in catalog.BUILTIN_NAMES] + [
+    ("soccer-doubled", 1),
+    ("k5", 2),
+    ("k34", 3),
+]
+
+
+@pytest.mark.parametrize("name,shuffle_seed", _SEARCH_CASES)
+def test_pruned_search_equals_exhaustive_search(name, shuffle_seed):
+    g = catalog.builtin(name)
+    if shuffle_seed is not None:
+        g = _reordered(g, shuffle_seed)
+    assert quotient_vertex_automorphisms(g) == _exhaustive_quotient_search(g)
+
+
+# sha256 of repr([a.combined for a in automorphism_generators(g)]), taken
+# from the exhaustive search: the generators every group build starts from
+_GENERATOR_HASHES = {
+    "doubled-cycle-g3": "0128f9c82648a9f5c2a1ff9548d0ecac07e415c6df015c6a1dc37fea98629fba",
+    "doubled-cycle-g4": "a10b12ab1c51b8a53954c1316558377af778ae87a5d40aa9938e95ab32939cda",
+    "doubled-cycle-g5": "079622298ea04f314d6c9a96433270f99e6f76c3c9aac4af5164562f3075bc79",
+    "doubled-cycle-g6": "0f7a742f2e18fb4c26a7294ec6f64918ed9cfe32dd2f8fe0fd7d9cd5e2cb4bdb",
+    "doubled-cycle-g7": "3ab72a229d7dcf3ad3115273eaa0334185b4bc3109f74f47a2f7cede397fef6f",
+    "doubled-cycle-g8": "44f08e2ee2294035e2808a174863b46144388593096760ce01383c1335cb80b5",
+    "doubled-k4": "057925e9d8a17301cb59b1d163a0c12e1f43721516377744015b4b8284514698",
+    "hybrid": "aaf43b8381eb0151c7ba2b1b04dcf3050409288a85906fba4607abcb3a4ac412",
+    "k34": "f05ae4f3cfdc5401f647d89db09d5cc65534d9968799756da23b5f62df8d8a7e",
+    "k5": "4e1cb920d131b4a3a24907bd5bf7e8cac99ac6d67005f5ef718c57bf065a11cb",
+    "soccer-doubled": "f0dba3d0a0a03a6689367359e11e865d9bd7f9aa144eaadca8f884a915707348",
+}
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_automorphism_generators_unchanged(name):
+    gens = automorphism_generators(catalog.builtin(name))
+    digest = hashlib.sha256(repr([a.combined for a in gens]).encode()).hexdigest()
+    assert digest == _GENERATOR_HASHES[name]

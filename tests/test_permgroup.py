@@ -11,6 +11,7 @@ from graphperiod.permgroup import (
     NotPrime,
     Overflow,
     PermutationGroup,
+    _ChainLevel,
     _factor,
     _prime_power_parts,
     cyclic_subgroups,
@@ -19,6 +20,7 @@ from graphperiod.permgroup import (
     inverse,
     mul,
     orbits,
+    p_part,
     perm_power,
     sylow_subgroup,
 )
@@ -262,3 +264,135 @@ def test_prime_power_parts_returns_a_prime_power_element_once():
     assert _prime_power_parts(identity(4)) == [(identity(4), 1)]
     six = (1, 2, 0, 4, 3)
     assert _prime_power_parts(six) == [(six, 6), ((0, 1, 2, 4, 3), 2), ((2, 0, 1, 3, 4), 3)]
+
+
+# --- the stabilizer chain against the constructor it replaced ---------------
+
+
+class _UnsiftedChain(PermutationGroup):
+    """The Schreier-Sims constructor before residues went to the level where
+    their sift stopped: every input generator is stored at level 0 and every
+    Schreier residue of level i at level i + 1."""
+
+    def __init__(self, degree, generators):
+        self.degree = degree
+        self._identity = identity(degree)
+        gens = []
+        for g in map(tuple, generators):
+            if g != self._identity and g not in gens:
+                gens.append(g)
+        self.generators = tuple(gens)
+        self._levels = []
+        for g in self.generators:
+            self._store(g, 0)
+        self._complete(0)
+
+    def _store(self, p, slot):
+        if slot == len(self._levels):
+            base = next(i for i, x in enumerate(p) if x != i)
+            self._levels.append(_ChainLevel(base, self._identity))
+        self._levels[slot].gens.append(p)
+
+    def _complete(self, i):
+        if i >= len(self._levels):
+            return
+        level = self._levels[i]
+        while True:
+            self._extend_transversal(i)
+            added = False
+            for pt in sorted(level.transversal):
+                rep = level.transversal[pt]
+                for g in self._gens_from(i):
+                    key = (pt, g)
+                    if key in level.processed:
+                        continue
+                    level.processed.add(key)
+                    schreier = mul(inverse(level.transversal[g[pt]]), mul(g, rep))
+                    if schreier == self._identity:
+                        continue
+                    residue, _ = self._sift_from(schreier, i + 1)
+                    if residue != self._identity:
+                        self._store(residue, i + 1)
+                        self._complete(i + 1)
+                        added = True
+                        break
+                if added:
+                    break
+            if not added:
+                return
+
+
+def _strong_generators(group):
+    return [(level.base, level.gens) for level in group._levels]
+
+
+def _assert_same_group_as_unsifted(group, rng, samples=30):
+    """group and the unsifted chain on its generators agree on the order and
+    on membership of sampled members and non-members."""
+    old = _UnsiftedChain(group.degree, list(group.generators))
+    assert group.order() == old.order()
+    for _ in range(samples):
+        member = group.random_element(rng, 12)
+        shuffled = list(range(group.degree))
+        rng.shuffle(shuffled)
+        swapped = list(member)
+        i, j = rng.sample(range(group.degree), 2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        for p in (member, tuple(shuffled), tuple(swapped)):
+            assert group.contains(p) == old.contains(p)
+        assert group.contains(member)
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_chain_agrees_with_unsifted_constructor(name):
+    group = automorphism_group(catalog.builtin(name))
+    rng = Random(name)
+    _assert_same_group_as_unsifted(group, rng)
+    order = group.order()
+    if order > Config.max_enum:
+        return
+    for p in _factor(order):
+        if p_part(order, p) <= 256:
+            sylow = sylow_subgroup(group, p, cap=Config.max_enum)
+            _assert_same_group_as_unsifted(sylow, rng)
+
+
+@pytest.fixture(scope="module")
+def aut_soccer():
+    return automorphism_group(catalog.builtin("soccer-doubled"))
+
+
+@pytest.mark.parametrize("name", ["doubled-k4", "hybrid", "soccer-doubled"])
+def test_redundant_generator_leaves_the_strong_generators_alone(name, aut_soccer):
+    group = aut_soccer if name == "soccer-doubled" else automorphism_group(catalog.builtin(name))
+    gens = list(group.generators)
+    extra = mul(gens[-1], gens[-2])
+    assert extra not in gens and extra != identity(group.degree)
+    widened = PermutationGroup(group.degree, gens + [extra])
+    assert widened.generators == group.generators + (extra,)
+    assert _strong_generators(widened) == _strong_generators(group)
+
+
+def test_soccer_strong_generating_set_stays_small(aut_soccer):
+    # 149 generators; the unsifted constructor stored 632 strong generators
+    assert sum(len(level.gens) for level in aut_soccer._levels) <= 40
+
+
+def _unsifted_random_element(group, rng, word_length):
+    """random_element as it was before generator inverses were cached."""
+    p = identity(group.degree)
+    for _ in range(rng.randint(1, word_length)):
+        g = rng.choice(group.generators)
+        if rng.random() < 0.5:
+            g = inverse(g)
+        p = mul(g, p)
+    return p
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_words_unchanged_by_the_inverse_cache(aut_soccer, seed):
+    new_rng, old_rng = Random(seed), Random(seed)
+    for _ in range(Config.word_budget):
+        assert aut_soccer.random_element(new_rng, Config.max_word_length) == (
+            _unsifted_random_element(aut_soccer, old_rng, Config.max_word_length)
+        )
