@@ -177,6 +177,8 @@ def _loop_steps(g: Multigraph, chain: Chain) -> list[tuple[int, int]] | None:
         out_edge[start] = k
     if not out_edge:
         return None
+    # the walk stops where it first comes back to its start, so a disjoint
+    # union of cycles leaves edges unvisited and fails the length check
     first = min(out_edge)
     steps = []
     v = first
@@ -186,6 +188,8 @@ def _loop_steps(g: Multigraph, chain: Chain) -> list[tuple[int, int]] | None:
             return None
         steps.append((v, k))
         v = g.other_end(k, v)
+        if v == first:
+            break
     if v != first or len(steps) != len(chain):
         return None
     return steps

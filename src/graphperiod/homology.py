@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .autgroup import GraphAutomorphism
-from .intlinalg import Matrix, diagonal, smith_normal_form
+from .intlinalg import LatticeSolver, Matrix, diagonal, smith_normal_form
 from .multigraph import Multigraph
 
 Chain = dict[int, int]
@@ -93,7 +93,7 @@ class CycleLattice:
     """H_1(Gamma, Z) with a fundamental cycle basis.  Immutable after
     construction apart from its caches: root paths by vertex, and per
     automorphism (keyed by sigma.combined) the action matrix and the
-    coinvariant rows used by coinvariant_primitive."""
+    sparse invariant-functional basis used by coinvariant_primitive."""
 
     graph: Multigraph
     root: int
@@ -206,6 +206,27 @@ def verify_basis(lattice: CycleLattice) -> bool:
     )
 
 
+def invariant_functionals(a: Matrix) -> list[dict[int, int]]:
+    """A Z-basis of the invariant functionals {phi : phi A = phi} of a
+    square integer matrix A, as sparse rows {index: coefficient}.
+
+    The row lattice of [A - I | I] is {(phi (A - I), phi)}.  In its
+    LatticeSolver echelon form the rows with pivot >= n span exactly the
+    lattice vectors that vanish on the first n columns (a one-sided
+    Hermite elimination with transform; Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4), so their right halves are the basis."""
+    n = len(a)
+    solver = LatticeSolver(2 * n)
+    for i, row in enumerate(a):
+        vec = {j: x for j, x in enumerate(row) if x}
+        vec[i] = vec.get(i, 0) - 1
+        vec[n + i] = 1
+        solver.add_generator(vec)
+    return [
+        {j - n: x for j, x in row.items()} for pivot, row in solver.rows.items() if pivot >= n
+    ]
+
+
 def coinvariant_primitive(
     lattice: CycleLattice, sigma: GraphAutomorphism, coords: list[int]
 ) -> bool:
@@ -217,21 +238,15 @@ def coinvariant_primitive(
     of M as a module over the cyclic group generated by sigma, because an
     equivariant projection onto the element is an invariant functional
     sending it to 1, and invariant functionals factor through the
-    coinvariants."""
+    coinvariants.  So the test is gcd(phi(element)) == 1 over a basis of
+    the invariant functionals, a gcd no choice of basis changes."""
     key = sigma.combined
-    free_rows = lattice._coinvariant_cache.get(key)
-    if free_rows is None:
-        # U (A - I) V = S; the rows of U at the zero (or missing) diagonal
-        # entries of S map M onto the free part of the coinvariants.
-        a = lattice.action_matrix(sigma)
-        n = lattice.rank
-        d = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-        u, s, _ = smith_normal_form(d)
-        diag = diagonal(s)
-        free_rows = [u[i] for i in range(n) if i >= len(diag) or diag[i] == 0]
-        lattice._coinvariant_cache[key] = free_rows
-    free = [sum(x * c for x, c in zip(row, coords)) for row in free_rows]
-    return math.gcd(*free) == 1 if free else False
+    functionals = lattice._coinvariant_cache.get(key)
+    if functionals is None:
+        functionals = invariant_functionals(lattice.action_matrix(sigma))
+        lattice._coinvariant_cache[key] = functionals
+    values = [sum(x * coords[j] for j, x in phi.items()) for phi in functionals]
+    return math.gcd(*values) == 1 if values else False
 
 
 def invariant_functional_gcd(

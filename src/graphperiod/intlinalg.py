@@ -3,9 +3,13 @@ with least multiples.
 
 LatticeSolver answers whether a vector lies in the span of its generators,
 and the least n with n*vec inside, from a Hermite form; it keeps no
-coordinates over the generators.  minimal_multiple_snf answers the same
-question for the columns of a matrix through a Smith decomposition, with a
-witness, and is the reference the tests and the oracle hold it to.
+coordinates over the generators.  Its echelon rows also give left kernels:
+homology.invariant_functionals reads the invariant functionals of an
+action off the echelon form of [A - I | I].  The Smith form is the
+reference route: minimal_multiple_snf answers the membership question for
+the columns of a matrix through a Smith decomposition, with a witness, and
+homology.invariant_functional_gcd gets the invariant functionals from one;
+the tests and the oracle hold the Hermite routes to them.
 
 Everything is plain Python ints (arbitrary precision); there is no floating
 point anywhere.  Matrices are lists of row lists.  The lattice solver takes

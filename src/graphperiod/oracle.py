@@ -199,12 +199,20 @@ def suite_snf_contract(seed: int, instances: int = 60) -> list[str]:
     return failures
 
 
+# builtins whose generators summand-criterion checks at full rank, four
+# elements each
+SUMMAND_BUILTINS = ("k5", "doubled-k4", "hybrid", "soccer-doubled")
+
+
 def suite_summand_criterion(seed: int, instances: int = 25) -> list[str]:
     """The coinvariant-primitivity verdict must agree with the existence of
     an invariant functional sending the element to 1 (both express the same
     projection), checked through the integer kernel of the transposed
     action and by bounded brute force on small ranks.  Norm elements
-    (orbit sums) are mixed in so genuinely invariant classes are covered."""
+    (orbit sums) are mixed in so genuinely invariant classes are covered.
+    Besides the random graphs of genus <= 6, a random generator of each of
+    SUMMAND_BUILTINS is checked on its full cycle lattice (rank 61 for
+    soccer-doubled)."""
     rng = Random(seed)
     failures = []
     done = 0
@@ -218,30 +226,49 @@ def suite_summand_criterion(seed: int, instances: int = 25) -> list[str]:
         sigma = random_automorphism(g, rng, max_order=8)
         if sigma is None:
             continue
-        coords = [rng.randint(-2, 2) for _ in range(lattice.rank)]
-        if rng.random() < 0.5:
-            # replace by the orbit sum, a sigma-fixed element
-            chain = lattice.from_coordinates(coords)
-            coords = lattice.coordinates(homology.norm(sigma, sigma.order(), chain))
+        coords = _summand_coords(rng, lattice, sigma)
         if all(x == 0 for x in coords):
             continue
         done += 1
-        verdict = homology.coinvariant_primitive(lattice, sigma, coords)
-        gcd_value = homology.invariant_functional_gcd(lattice, sigma, coords)
-        if verdict != (gcd_value == 1):
-            failures.append(
-                f"graph {g.name!r}: coinvariant verdict {verdict}, "
-                f"functional gcd {gcd_value}, coords {coords}"
-            )
-        if lattice.rank <= 4:
-            brute = _functional_bruteforce(lattice, sigma, coords, bound=3)
-            if brute is not None and brute != verdict:
-                failures.append(
-                    f"graph {g.name!r}: brute-force functional search {brute}, "
-                    f"criterion {verdict}, coords {coords}"
-                )
+        failures += _summand_mismatches(lattice, sigma, coords)
     if done < instances:
         failures.append(f"only {done} of {instances} instances generated")
+    for name in SUMMAND_BUILTINS:
+        g = catalog.builtin(name)
+        lattice = homology.fundamental_cycle_basis(g)
+        sigma = rng.choice(autgroup.automorphism_generators(g))
+        for _ in range(4):
+            failures += _summand_mismatches(lattice, sigma, _summand_coords(rng, lattice, sigma))
+    return failures
+
+
+def _summand_coords(rng: Random, lattice, sigma) -> list[int]:
+    """Random coordinates, replaced half the time by their orbit sum, a
+    sigma-fixed element."""
+    coords = [rng.randint(-2, 2) for _ in range(lattice.rank)]
+    if rng.random() < 0.5:
+        chain = lattice.from_coordinates(coords)
+        coords = lattice.coordinates(homology.norm(sigma, sigma.order(), chain))
+    return coords
+
+
+def _summand_mismatches(lattice, sigma, coords) -> list[str]:
+    name = lattice.graph.name
+    verdict = homology.coinvariant_primitive(lattice, sigma, coords)
+    gcd_value = homology.invariant_functional_gcd(lattice, sigma, coords)
+    failures = []
+    if verdict != (gcd_value == 1):
+        failures.append(
+            f"graph {name!r}: coinvariant verdict {verdict}, "
+            f"functional gcd {gcd_value}, coords {coords}"
+        )
+    if lattice.rank <= 4:
+        brute = _functional_bruteforce(lattice, sigma, coords, bound=3)
+        if brute is not None and brute != verdict:
+            failures.append(
+                f"graph {name!r}: brute-force functional search {brute}, "
+                f"criterion {verdict}, coords {coords}"
+            )
     return failures
 
 

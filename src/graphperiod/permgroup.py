@@ -84,12 +84,15 @@ def perm_power(p: Perm, k: int) -> Perm:
 
 
 class _ChainLevel:
-    __slots__ = ("base", "gens", "transversal", "processed")
+    __slots__ = ("base", "gens", "transversal", "inverses", "processed")
 
     def __init__(self, base: int, ident: Perm):
         self.base = base
         self.gens: list[Perm] = []
         self.transversal: dict[int, Perm] = {base: ident}
+        # inverses[pt] is transversal[pt]^-1, stored with the representative,
+        # which never changes once stored
+        self.inverses: dict[int, Perm] = {base: ident}
         self.processed: set[tuple[int, Perm]] = set()
 
 
@@ -157,7 +160,8 @@ class PermutationGroup:
                 for g in gens:
                     img = g[pt]
                     if img not in level.transversal:
-                        level.transversal[img] = mul(g, rep)
+                        level.transversal[img] = new = mul(g, rep)
+                        level.inverses[img] = inverse(new)
                         nxt.append(img)
             frontier = nxt
 
@@ -168,10 +172,10 @@ class PermutationGroup:
             img = p[level.base]
             if img == level.base:
                 continue
-            rep = level.transversal.get(img)
-            if rep is None:
+            rep_inv = level.inverses.get(img)
+            if rep_inv is None:
                 return p, i
-            p = mul(inverse(rep), p)
+            p = mul(rep_inv, p)
         return p, len(self._levels)
 
     def _complete(self, i: int):
@@ -190,7 +194,7 @@ class PermutationGroup:
                     if key in level.processed:
                         continue
                     level.processed.add(key)
-                    schreier = mul(inverse(level.transversal[g[pt]]), mul(g, rep))
+                    schreier = mul(level.inverses[g[pt]], mul(g, rep))
                     if schreier == self._identity:
                         continue
                     residue, stop = self._sift_from(schreier, i + 1)

@@ -3,7 +3,11 @@ import math
 import pytest
 
 from graphperiod import catalog
-from graphperiod.autgroup import automorphism_group, identity_automorphism
+from graphperiod.autgroup import (
+    automorphism_generators,
+    automorphism_group,
+    identity_automorphism,
+)
 from graphperiod.bounds import (
     Certificate,
     DivisorInterval,
@@ -91,6 +95,25 @@ class TestLoopSummand:
         result = period_lower_loop_summand(lattice, sigma, double)
         assert isinstance(result, NotApplicable)
         assert "simple" in result.reason
+
+    @pytest.mark.parametrize(
+        "name,edge_ids",
+        [("doubled-k4", ("e1a", "e1b", "e3a", "e3b")), ("hybrid", ("e2", "f2", "e4", "f4"))],
+    )
+    def test_disjoint_two_gons_are_not_a_simple_cycle(self, name, edge_ids):
+        """Two vertex-disjoint 2-gons form a closed chain with one outgoing
+        edge per vertex, but not one cycle: the walk from the least vertex
+        closes after two steps."""
+        g = catalog.builtin(name)
+        lattice = fundamental_cycle_basis(g)
+        edges = [g.edge_index[e] for e in edge_ids]
+        assert len({v for k in edges for v in g.edge_ends_idx[k]}) == 4
+        loop = {edges[0]: 1, edges[1]: -1, edges[2]: 1, edges[3]: -1}
+        for sigma in [identity_automorphism(g)] + automorphism_generators(g):
+            result = period_lower_loop_summand(lattice, sigma, loop)
+            assert result == NotApplicable("loop is not a simple cycle")
+        with pytest.raises(NotAClosedChain):
+            period_lower_loop_summand(lattice, identity_automorphism(g), {edges[0]: 1, edges[2]: 1})
 
     def test_unfixed_loop_rejected(self):
         g, lattice = k5_setup()

@@ -14,7 +14,7 @@ from graphperiod.homology import (
     norm,
     verify_basis,
 )
-from graphperiod.intlinalg import det_bareiss
+from graphperiod.intlinalg import det_bareiss, diagonal
 from graphperiod.multigraph import genus
 
 from util import relabel, transfer_automorphism, unvalidated_graph, vertex_cycle_automorphism
@@ -202,7 +202,9 @@ def test_coordinates_rejects_non_cycles():
         L.coordinates({0: 1})
 
 
-def test_coinvariant_primitive_one_smith_form_per_automorphism(monkeypatch):
+def test_coinvariant_primitive_one_elimination_per_automorphism(monkeypatch):
+    """One LatticeSolver elimination per automorphism, reused for every
+    element, and no Smith form on the way."""
     from graphperiod import homology
     from graphperiod.bounds import chain_from_vertex_cycle
 
@@ -215,19 +217,94 @@ def test_coinvariant_primitive_one_smith_form_per_automorphism(monkeypatch):
     vectors = [pentagon, [2 * x for x in pentagon]]
     vectors += [[int(i == j) for j in range(L.rank)] for i in range(L.rank)]
     vectors += [[rng.randint(-2, 2) for _ in range(L.rank)] for _ in range(8)]
-    calls = []
+    solvers, snf_calls = [], []
+    solver = homology.LatticeSolver
     snf = homology.smith_normal_form
-    monkeypatch.setattr(homology, "smith_normal_form", lambda a: calls.append(1) or snf(a))
+    monkeypatch.setattr(homology, "LatticeSolver", lambda n: solvers.append(n) or solver(n))
+    monkeypatch.setattr(homology, "smith_normal_form", lambda a: snf_calls.append(1) or snf(a))
     verdicts = [
         (sigma, coords, coinvariant_primitive(L, sigma, coords))
         for _ in range(2)
         for coords in vectors
         for sigma in (rot5, rot3)
     ]
-    assert len(calls) == 2
+    assert len(solvers) == 2
+    assert snf_calls == []
     for sigma, coords, verdict in verdicts:
         assert verdict == (invariant_functional_gcd(L, sigma, coords) == 1)
     assert any(v for _, _, v in verdicts) and not all(v for _, _, v in verdicts)
+
+
+def _sampled_automorphisms(name, count=20):
+    """The graph and the generators of the first count cyclic subgroups
+    of its sampled scan, the identity first."""
+    from graphperiod.autgroup import automorphism_group, from_combined
+    from graphperiod.permgroup import cyclic_subgroups
+
+    g = catalog.builtin(name)
+    pairs, complete = cyclic_subgroups(automorphism_group(g), cap=1, max_subgroups=count)
+    assert not complete
+    return g, [from_combined(g, p) for p, _ in pairs[:count]]
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_invariant_functionals_from_the_echelon_match_the_smith_route(name, monkeypatch):
+    """On the first 20 sampled cyclic subgroups of every builtin, soccer at
+    rank 61 included: each echelon row phi satisfies phi (A - I) = 0, their
+    number is the Smith form's zero count, and the summand verdict equals
+    invariant_functional_gcd == 1 on unit vectors, on the orbit sums of
+    the basis cycles and on random coordinates.  The Smith form of each
+    matrix is computed once and reused across the elements."""
+    from graphperiod import homology
+
+    smith = {}
+    snf = homology.smith_normal_form
+
+    def cached_snf(a):
+        key = tuple(map(tuple, a))
+        if key not in smith:
+            smith[key] = snf(a)
+        return smith[key]
+
+    monkeypatch.setattr(homology, "smith_normal_form", cached_snf)
+    g, sigmas = _sampled_automorphisms(name)
+    L = fundamental_cycle_basis(g)
+    n = L.rank
+    rng = Random(name)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    for sigma in sigmas:
+        m = sigma.order()
+        vectors = units + [L.coordinates(norm(sigma, m, z)) for z in L.basis]
+        vectors += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(5)]
+        for coords in vectors:
+            verdict = coinvariant_primitive(L, sigma, coords)
+            assert verdict == (invariant_functional_gcd(L, sigma, coords) == 1)
+        a = L.action_matrix(sigma)
+        free_rows = L._coinvariant_cache[sigma.combined]
+        for phi in free_rows:
+            assert all(
+                sum(x * (a[i][j] - (i == j)) for i, x in phi.items()) == 0 for j in range(n)
+            )
+        at = [[a[j][i] - (i == j) for j in range(n)] for i in range(n)]
+        _, s, _ = cached_snf(at)
+        assert len(free_rows) == diagonal(s).count(0)
+
+
+@pytest.mark.parametrize("name", ["k5", "doubled-k4", "doubled-cycle-g5", "hybrid"])
+def test_analyze_and_verify_compute_no_smith_form(name, monkeypatch):
+    from graphperiod import homology, intlinalg
+    from graphperiod.bounds import analyze, verify_certificate
+
+    calls, solvers = [], []
+    for module in (homology, intlinalg):
+        monkeypatch.setattr(module, "smith_normal_form", lambda a: calls.append(1))
+    solver = homology.LatticeSolver
+    monkeypatch.setattr(homology, "LatticeSolver", lambda n: solvers.append(n) or solver(n))
+    g = catalog.builtin(name)
+    report = analyze(g)
+    assert all(verify_certificate(g, c) for c in report.certificates)
+    assert calls == []
+    assert solvers, "the loop-summand test never ran"
 
 
 def test_coordinates_rejects_an_extra_tree_edge():

@@ -71,3 +71,42 @@ def test_injected_dropped_relator_is_caught(monkeypatch):
         return elements, tree, relators[1:]
 
     assert _presentation_fault_failures(monkeypatch, "cayley_presentation", faulty)
+
+
+def _summand_fault_failures(monkeypatch, faulty) -> list[str]:
+    monkeypatch.setattr(homology, "invariant_functionals", faulty)
+    return oracle.suite_summand_criterion(0)
+
+
+def test_injected_dropped_pivot_n_row_is_caught(monkeypatch):
+    """Keeping only the echelon rows with pivot > n, which drops the
+    functional whose leading entry sits in column n, must break the
+    summand criterion on some instance."""
+    from graphperiod.intlinalg import LatticeSolver
+
+    def faulty(a):
+        n = len(a)
+        solver = LatticeSolver(2 * n)
+        for i, row in enumerate(a):
+            vec = {j: x for j, x in enumerate(row) if x}
+            vec[i] = vec.get(i, 0) - 1
+            vec[n + i] = 1
+            solver.add_generator(vec)
+        return [
+            {j - n: x for j, x in row.items()} for pivot, row in solver.rows.items() if pivot > n
+        ]
+
+    assert _summand_fault_failures(monkeypatch, faulty)
+
+
+def test_injected_transposed_action_is_caught(monkeypatch):
+    """Taking the invariant functionals of the transposed action, i.e. the
+    invariant vectors of A, must break the summand criterion, also at the
+    full rank of a builtin."""
+    original = homology.invariant_functionals
+
+    def faulty(a):
+        return original([list(col) for col in zip(*a)])
+
+    failures = _summand_fault_failures(monkeypatch, faulty)
+    assert any("soccer" in f for f in failures)

@@ -378,6 +378,27 @@ def test_soccer_strong_generating_set_stays_small(aut_soccer):
     assert sum(len(level.gens) for level in aut_soccer._levels) <= 40
 
 
+def test_soccer_build_inverts_each_representative_once(aut_soccer, monkeypatch):
+    """Transversal representatives never change once stored, so the chain
+    stores each one's inverse with it and inverts nothing else: the build
+    calls inverse at most once per transversal entry."""
+    from graphperiod import permgroup
+
+    calls = []
+    monkeypatch.setattr(permgroup, "inverse", lambda p: calls.append(1) or inverse(p))
+    group = PermutationGroup(aut_soccer.degree, list(aut_soccer.generators))
+    monkeypatch.undo()
+    entries = sum(len(level.transversal) - 1 for level in group._levels)
+    assert len(calls) <= entries
+    ident = identity(group.degree)
+    for level in group._levels:
+        assert level.inverses.keys() == level.transversal.keys()
+        for pt, rep in level.transversal.items():
+            assert mul(level.inverses[pt], rep) == ident
+    assert group.order() == aut_soccer.order()
+    _assert_same_group_as_unsifted(group, Random(3))
+
+
 def _unsifted_random_element(group, rng, word_length):
     """random_element as it was before generator inverses were cached."""
     p = identity(group.degree)
