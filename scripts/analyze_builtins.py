@@ -5,7 +5,10 @@ of each report, and print a verdict table.
 Each row gives the analysis and verification seconds and how many
 certificates failed to re-verify.  Exits 1 if any certificate is rejected.
 
-Usage: python scripts/analyze_builtins.py [--json] [--seed N]
+Usage: python scripts/analyze_builtins.py [--json] [caps...]
+
+The cap flags and --seed are the ones `graphperiod analyze` takes, with the
+same defaults.
 """
 
 import argparse
@@ -15,16 +18,19 @@ import time
 
 from graphperiod.bounds import analyze, verify_certificate
 from graphperiod.catalog import BUILTIN_NAMES, builtin
-from graphperiod.config import Config
+from graphperiod.cli import _add_cap_flags, _config
 
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
+    _add_cap_flags(parser)
     args = parser.parse_args()
 
-    config = Config(seed=args.seed)
+    try:
+        config = _config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     reports = []
     total_rejected = 0
     for name in BUILTIN_NAMES:

@@ -45,15 +45,7 @@ from .autgroup import GraphAutomorphism, from_combined, identity_automorphism
 from .config import Config
 from .homology import Chain, CycleLattice, chain_action, chain_add, norm
 from .intlinalg import LatticeSolver, Matrix, NoneUpTo, matmul, matvec
-from .permgroup import (
-    Infeasible,
-    Perm,
-    PermutationGroup,
-    identity,
-    mul,
-    p_part,
-    sylow_subgroup,
-)
+from .permgroup import Infeasible, Perm, PermutationGroup, _factor, identity, mul, sylow_subgroup
 
 
 @dataclass(frozen=True)
@@ -330,9 +322,13 @@ def class_order_exact(
     parts since corestriction . restriction = index).
 
     Each restriction comes from the Sylow subgroup's Cayley-graph
-    presentation (class_order_presented).  Needs |G| within the
-    enumeration cap and every Sylow subgroup of order at most bar_cap;
-    otherwise returns Unknown(|G|).
+    presentation (class_order_presented).  Needs |G| within enum_cap and
+    every Sylow subgroup of order at most bar_cap; otherwise returns
+    Unknown(|G|).  Nothing is enumerated behind enum_cap any more, since
+    sylow_subgroup grows its subgroup from random elements.  The gate stays
+    because the analysis status line for Unknown names it, and that line
+    is part of pinned reports (soccer-doubled's); dropping the gate belongs
+    with a change that alters reports anyway, such as a higher bar_cap.
     """
     order = group.order()
     if order == 1:
@@ -343,10 +339,7 @@ def class_order_exact(
     total = 1
     parts = []
     for p, pk in primes:
-        sub = sylow_subgroup(group, p, cap=enum_cap, seed=seed)
-        if isinstance(sub, Infeasible):  # pragma: no cover - gated above
-            return Unknown(order)
-        n = class_order_presented(cocycle, sub)
+        n = class_order_presented(cocycle, sylow_subgroup(group, p, seed=seed))
         parts.append(SylowOrder(prime=p, subgroup_order=pk, class_order=n))
         total = math.lcm(total, n)
     return total, parts
@@ -354,17 +347,6 @@ def class_order_exact(
 
 def _small_prime_parts(order: int, bar_cap: int) -> list[tuple[int, int]] | None:
     """(p, p-part) for every prime divisor, or None if some p-part exceeds
-    the bar cap (primes above the cap can never fit)."""
-    out = []
-    rest = order
-    for p in range(2, bar_cap + 1):
-        if rest % p == 0:
-            pk = p_part(order, p)
-            if pk > bar_cap:
-                return None
-            out.append((p, pk))
-            while rest % p == 0:
-                rest //= p
-    if rest > 1:
-        return None
-    return out
+    the bar cap."""
+    parts = [(p, p**e) for p, e in _factor(order).items()]
+    return None if any(pk > bar_cap for _, pk in parts) else parts

@@ -18,7 +18,9 @@ def _flag(default: int, help_text: str):
 @dataclass(frozen=True)
 class Config:
     # caps
-    max_enum: int = _flag(10**6, "element enumeration cap (exact Sylow needs it)")
+    max_enum: int = _flag(
+        10**6, "element enumeration cap of the complete cyclic scan; also gates the "
+        "exact Sylow order, which enumerates nothing")
     bar_cap: int = _flag(32, "largest Sylow subgroup order for the exact class order")
     union_cap: int = _flag(4096, "max edge-orbit unions enumerated")
     subgraph_depth: int = _flag(1, "invariant-subgraph recursion depth")

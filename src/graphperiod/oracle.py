@@ -208,8 +208,10 @@ def suite_summand_criterion(seed: int, instances: int = 25) -> list[str]:
     """The coinvariant-primitivity verdict must agree with the existence of
     an invariant functional sending the element to 1 (both express the same
     projection), checked through the integer kernel of the transposed
-    action and by bounded brute force on small ranks.  Norm elements
-    (orbit sums) are mixed in so genuinely invariant classes are covered.
+    action and by bounded brute force on small ranks; the kernel's rank
+    must also equal the number of invariant functionals, once per sigma.
+    Norm elements (orbit sums) are mixed in so genuinely invariant classes
+    are covered.
     Besides the random graphs of genus <= 6, a random generator of each of
     SUMMAND_BUILTINS is checked on its full cycle lattice (rank 61 for
     soccer-doubled)."""
@@ -230,15 +232,15 @@ def suite_summand_criterion(seed: int, instances: int = 25) -> list[str]:
         if all(x == 0 for x in coords):
             continue
         done += 1
-        failures += _summand_mismatches(lattice, sigma, coords)
+        failures += _summand_mismatches(lattice, sigma, [coords])
     if done < instances:
         failures.append(f"only {done} of {instances} instances generated")
     for name in SUMMAND_BUILTINS:
         g = catalog.builtin(name)
         lattice = homology.fundamental_cycle_basis(g)
         sigma = rng.choice(autgroup.automorphism_generators(g))
-        for _ in range(4):
-            failures += _summand_mismatches(lattice, sigma, _summand_coords(rng, lattice, sigma))
+        coords_list = [_summand_coords(rng, lattice, sigma) for _ in range(4)]
+        failures += _summand_mismatches(lattice, sigma, coords_list)
     return failures
 
 
@@ -252,23 +254,38 @@ def _summand_coords(rng: Random, lattice, sigma) -> list[int]:
     return coords
 
 
-def _summand_mismatches(lattice, sigma, coords) -> list[str]:
+def _summand_mismatches(lattice, sigma, coords_list) -> list[str]:
+    """Check the verdict on each coordinate vector, and once for sigma that
+    the echelon basis of the invariant functionals is as large as the Smith
+    kernel of A^T - I: at full rank random elements almost always have
+    functional gcd 1, so a dropped basis row shows only in the count."""
     name = lattice.graph.name
-    verdict = homology.coinvariant_primitive(lattice, sigma, coords)
-    gcd_value = homology.invariant_functional_gcd(lattice, sigma, coords)
+    a = lattice.action_matrix(sigma)
+    n = lattice.rank
+    at = [[a[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    kernel_rank = intlinalg.diagonal(intlinalg.smith_normal_form(at)[1]).count(0)
+    basis_size = len(homology.invariant_functionals(a))
     failures = []
-    if verdict != (gcd_value == 1):
+    if basis_size != kernel_rank:
         failures.append(
-            f"graph {name!r}: coinvariant verdict {verdict}, "
-            f"functional gcd {gcd_value}, coords {coords}"
+            f"graph {name!r}: {basis_size} invariant functionals from the echelon, "
+            f"{kernel_rank} from the Smith form"
         )
-    if lattice.rank <= 4:
-        brute = _functional_bruteforce(lattice, sigma, coords, bound=3)
-        if brute is not None and brute != verdict:
+    for coords in coords_list:
+        verdict = homology.coinvariant_primitive(lattice, sigma, coords)
+        gcd_value = homology.invariant_functional_gcd(lattice, sigma, coords)
+        if verdict != (gcd_value == 1):
             failures.append(
-                f"graph {name!r}: brute-force functional search {brute}, "
-                f"criterion {verdict}, coords {coords}"
+                f"graph {name!r}: coinvariant verdict {verdict}, "
+                f"functional gcd {gcd_value}, coords {coords}"
             )
+        if n <= 4:
+            brute = _functional_bruteforce(lattice, sigma, coords, bound=3)
+            if brute is not None and brute != verdict:
+                failures.append(
+                    f"graph {name!r}: brute-force functional search {brute}, "
+                    f"criterion {verdict}, coords {coords}"
+                )
     return failures
 
 

@@ -376,68 +376,40 @@ def p_part(n: int, p: int) -> int:
 
 
 def sylow_subgroup(
-    group: PermutationGroup, p: int, cap: int, seed: int = Config.seed
-) -> PermutationGroup | Infeasible:
-    """A Sylow p-subgroup, by enumerating elements and growing a p-subgroup
-    by closure until its order reaches the p-part of |G|.
+    group: PermutationGroup, p: int, seed: int = Config.seed
+) -> PermutationGroup:
+    """A Sylow p-subgroup, grown from the p-parts of seeded random elements.
 
-    Randomized growth with restarts; the order condition certifies the
-    result, so randomness can only cost retries, never correctness.
+    A p-part y of a random element joins the p-subgroup P built so far when
+    it is not in P and <P, y> still has p-power order; the stabilizer chain
+    certifies every order, so randomness only costs draws, never
+    correctness.  Growth stops at the p-part of |G|.  Then each generator,
+    last to first, is dropped if the others generate it, which leaves an
+    irredundant generating set: class_order_presented costs grow with it.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    order = group.order()
-    target = p_part(order, p)
-    ident = identity(group.degree)
-    if target == 1:
-        return PermutationGroup(group.degree, [])
-    elements = group.enumerate_elements(cap)
-    if isinstance(elements, Overflow):
-        return Infeasible(f"|G| = {elements.order} exceeds enumeration cap {cap}")
-    candidates = []
-    for q in elements:
-        m = element_order(q)
-        if m > 1 and _factor(m).keys() == {p}:
-            candidates.append(q)
+    target = p_part(group.order(), p)
+    sub = PermutationGroup(group.degree, [])
     rng = Random(seed)
-    for _attempt in range(200):
-        current: set[Perm] = {ident}
-        gens: list[Perm] = []
-        stuck = 0
-        while len(current) < target and stuck < 80:
-            q = rng.choice(candidates)
-            if q in current:
-                stuck += 1
-                continue
-            closed = _bounded_closure(current | {q}, gens + [q], target)
-            if closed is None:
-                stuck += 1
-                continue
-            current = closed
-            gens.append(q)
-        if len(current) == target:
-            sub = PermutationGroup(group.degree, gens)
-            assert sub.order() == target
-            return sub
-    raise RuntimeError("Sylow growth failed to converge")  # pragma: no cover
-
-
-def _bounded_closure(
-    seed_elements: set[Perm], gens: list[Perm], limit: int
-) -> set[Perm] | None:
-    """Close seed_elements under the generators; None if size passes limit."""
-    out = set(seed_elements)
-    frontier = list(seed_elements)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = mul(g, x)
-            if y not in out:
-                if len(out) + 1 > limit:
-                    return None
-                out.add(y)
-                frontier.append(y)
-    return out
+    for _ in range(10_000):
+        if sub.order() == target:
+            break
+        y = group.random_element(rng, Config.max_word_length)
+        m = element_order(y)
+        y = perm_power(y, m // p_part(m, p))
+        if not sub.contains(y):
+            grown = PermutationGroup(group.degree, [*sub.generators, y])
+            if p_part(grown.order(), p) == grown.order():
+                sub = grown
+    if sub.order() != target:  # pragma: no cover
+        raise RuntimeError("Sylow growth failed to converge")
+    gens = list(sub.generators)
+    for i in range(len(gens) - 1, -1, -1):
+        rest = gens[:i] + gens[i + 1:]
+        if PermutationGroup(group.degree, rest).order() == target:
+            gens = rest
+    return PermutationGroup(group.degree, gens)
 
 
 def orbits(degree: int, generators: list[Perm], points: list[int]) -> list[list[int]]:

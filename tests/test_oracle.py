@@ -81,7 +81,8 @@ def _summand_fault_failures(monkeypatch, faulty) -> list[str]:
 def test_injected_dropped_pivot_n_row_is_caught(monkeypatch):
     """Keeping only the echelon rows with pivot > n, which drops the
     functional whose leading entry sits in column n, must break the
-    summand criterion on some instance."""
+    summand criterion, also at the full rank of a builtin, where the
+    functional count gives it away."""
     from graphperiod.intlinalg import LatticeSolver
 
     def faulty(a):
@@ -96,7 +97,8 @@ def test_injected_dropped_pivot_n_row_is_caught(monkeypatch):
             {j - n: x for j, x in row.items()} for pivot, row in solver.rows.items() if pivot > n
         ]
 
-    assert _summand_fault_failures(monkeypatch, faulty)
+    failures = _summand_fault_failures(monkeypatch, faulty)
+    assert any("soccer" in f and "invariant functionals" in f for f in failures)
 
 
 def test_injected_transposed_action_is_caught(monkeypatch):

@@ -7,7 +7,6 @@ from graphperiod import catalog
 from graphperiod.autgroup import automorphism_group
 from graphperiod.config import Config
 from graphperiod.permgroup import (
-    Infeasible,
     NotPrime,
     Overflow,
     PermutationGroup,
@@ -29,6 +28,11 @@ from graphperiod.permgroup import (
 @pytest.fixture(scope="module")
 def aut_k5():
     return automorphism_group(catalog.builtin("k5"))
+
+
+@pytest.fixture(scope="module")
+def aut_soccer():
+    return automorphism_group(catalog.builtin("soccer-doubled"))
 
 
 def test_trivial_group_from_empty_generators():
@@ -101,16 +105,16 @@ def test_cyclic_subgroups_k5_orders(aut_k5):
 
 
 def test_sylow_k5(aut_k5):
-    s5 = sylow_subgroup(aut_k5, 5, cap=1000)
+    s5 = sylow_subgroup(aut_k5, 5)
     assert s5.order() == 5
-    s2 = sylow_subgroup(aut_k5, 2, cap=1000)
+    s2 = sylow_subgroup(aut_k5, 2)
     assert s2.order() == 8
-    s7 = sylow_subgroup(aut_k5, 7, cap=1000)
+    s7 = sylow_subgroup(aut_k5, 7)
     assert s7.order() == 1
 
 
 def test_sylow_closure_property(aut_k5):
-    sub = sylow_subgroup(aut_k5, 2, cap=1000)
+    sub = sylow_subgroup(aut_k5, 2)
     elems = sub.enumerate_elements(16)
     for a in elems:
         assert aut_k5.contains(a)
@@ -121,12 +125,16 @@ def test_sylow_closure_property(aut_k5):
 
 def test_sylow_not_prime(aut_k5):
     with pytest.raises(NotPrime):
-        sylow_subgroup(aut_k5, 6, cap=1000)
+        sylow_subgroup(aut_k5, 6)
 
 
-def test_sylow_infeasible_over_cap():
-    G = automorphism_group(catalog.builtin("soccer-doubled"))
-    assert isinstance(sylow_subgroup(G, 2, cap=10**6), Infeasible)
+def test_sylow_above_the_enumeration_cap(aut_soccer):
+    # |G| = 2^33 * 3 * 5 is far above max_enum; growth never enumerates G
+    assert aut_soccer.order() > Config.max_enum
+    for p in (3, 5):
+        sub = sylow_subgroup(aut_soccer, p)
+        assert sub.order() == p
+        assert all(aut_soccer.contains(g) for g in sub.generators)
 
 
 def test_element_order_divides_group_order(aut_k5):
@@ -349,17 +357,18 @@ def test_chain_agrees_with_unsifted_constructor(name):
     rng = Random(name)
     _assert_same_group_as_unsifted(group, rng)
     order = group.order()
-    if order > Config.max_enum:
-        return
     for p in _factor(order):
-        if p_part(order, p) <= 256:
-            sylow = sylow_subgroup(group, p, cap=Config.max_enum)
+        if p_part(order, p) > 256:
+            continue
+        for seed in range(4):
+            sylow = sylow_subgroup(group, p, seed=seed)
+            assert sylow.order() == p_part(order, p)
+            assert all(group.contains(g) for g in sylow.generators)
+            gens = list(sylow.generators)
+            for i in range(len(gens)):
+                rest = gens[:i] + gens[i + 1:]
+                assert PermutationGroup(group.degree, rest).order() < sylow.order()
             _assert_same_group_as_unsifted(sylow, rng)
-
-
-@pytest.fixture(scope="module")
-def aut_soccer():
-    return automorphism_group(catalog.builtin("soccer-doubled"))
 
 
 @pytest.mark.parametrize("name", ["doubled-k4", "hybrid", "soccer-doubled"])
