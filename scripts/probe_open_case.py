@@ -36,14 +36,10 @@ def main() -> int:
     lattice = fundamental_cycle_basis(graph)
     cocycle = PathCocycle(lattice)
 
-    pairs, complete = cyclic_subgroups(
-        group,
-        cap=Config.max_enum,
-        seed=args.seed,
-        word_budget=args.words,
-        max_word_length=16,
-        max_subgroups=args.subgroups,
+    config = Config(
+        seed=args.seed, word_budget=args.words, max_word_length=16, max_subgroups=args.subgroups
     )
+    pairs, complete = cyclic_subgroups(group, config)
     print(f"sampled {len(pairs)} cyclic subgroups (complete scan: {complete})")
     table = Counter()
     lower = 1

@@ -250,7 +250,7 @@ def quotient_vertex_automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
 
     rec(list(base), list(base), n + 1)
     closure = PermutationGroup(n, found)
-    return sorted(closure.enumerate_elements(closure.order()))
+    return sorted(closure.enumerate_elements())
 
 
 def _lift_edge_map(g: Multigraph, vperm: tuple[int, ...]) -> tuple[int, ...]:

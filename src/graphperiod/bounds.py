@@ -5,7 +5,9 @@ Every bound carries a certificate that can be re-verified from its witness
 alone.  Lower bounds on the period come from cyclic restrictions of the
 obstruction cocycle and from the loop-summand rule; upper bounds come from
 the genus, invariant-subgraph orbit counts, the group order, exact Sylow
-computation when feasible, and propagation from invariant subgraphs.
+computation when feasible, and propagation from invariant subgraphs.  The
+report's intervals are derived from its certificate list alone
+(intervals_from_certificates), so they are exactly what it proves.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import cohomology, homology
 from .autgroup import (
@@ -312,12 +314,12 @@ def _orbit_union_witnesses(g: Multigraph, combo, edges: list[int]) -> list[tuple
 
 
 def index_upper_divisors(
-    g: Multigraph, group: PermutationGroup, union_cap: int = Config.union_cap
+    g: Multigraph, group: PermutationGroup, config: Config = Config()
 ) -> tuple[list[Certificate], list[str]]:
     """Certified divisors of the index: g-1, each edge-orbit size, twice
     each vertex-orbit size, and edge count / twice vertex count of every
     union of edge orbits (an invariant subgraph), enumerated while
-    2^#orbits stays within the cap."""
+    2^#orbits stays within config.union_cap."""
     certs = []
     status = []
     gen = genus(g)
@@ -350,10 +352,10 @@ def index_upper_divisors(
 
     for divisor, witness in _orbit_witnesses(g, eorbits, vorbits):
         orbit_cert(divisor, witness)
-    unions = _orbit_unions(eorbits, union_cap)
+    unions = _orbit_unions(eorbits, config.union_cap)
     if unions is None:
         status.append(
-            f"orbit unions not enumerated (2^{len(eorbits)} exceeds cap {union_cap})"
+            f"orbit unions not enumerated (2^{len(eorbits)} exceeds cap {config.union_cap})"
         )
     for combo, edges in unions or []:
         for divisor, witness in _orbit_union_witnesses(g, combo, edges):
@@ -365,13 +367,14 @@ def index_upper_divisors(
 
 
 def invariant_subgraphs(
-    g: Multigraph, group: PermutationGroup, union_cap: int = Config.union_cap
+    g: Multigraph, group: PermutationGroup, config: Config = Config()
 ) -> list[Multigraph]:
     """Proper invariant subgraphs (unions of edge orbits with their incident
     vertices) that are connected and keep every vertex at degree >= 4, the
-    shape required for propagating bounds from a subgraph."""
+    shape required for propagating bounds from a subgraph; none when the
+    orbit unions exceed config.union_cap."""
     out = []
-    for combo, edges in _orbit_unions(_edge_orbits(g, group), union_cap) or []:
+    for combo, edges in _orbit_unions(_edge_orbits(g, group), config.union_cap) or []:
         if len(edges) == len(g.edges):
             continue
         edges = sorted(edges)
@@ -395,19 +398,23 @@ def invariant_subgraphs(
     return out
 
 
+def _subgraph_config(config: Config) -> Config:
+    """The config an invariant subgraph is analyzed under: one level less
+    recursion, never below 0."""
+    return replace(config, subgraph_depth=max(config.subgraph_depth - 1, 0))
+
+
 def propagate_subgraph(
-    g: Multigraph,
-    group: PermutationGroup,
-    config: Config,
-    depth: int,
+    g: Multigraph, group: PermutationGroup, config: Config
 ) -> tuple[list[Certificate], list[str]]:
     """Analyze every admissible invariant subgraph standalone; the ambient
     class is the image of the subgraph's class, so the ambient period and
     index divide the subgraph's established upper bounds."""
     certs = []
     status = []
-    for sub in invariant_subgraphs(g, group, config.union_cap):
-        report = analyze(sub, config, _depth=depth - 1)
+    sub_config = _subgraph_config(config)
+    for sub in invariant_subgraphs(g, group, config):
+        report = analyze(sub, sub_config)
         for target, interval in (("period", report.period), ("index", report.index)):
             if interval.upper:
                 certs.append(
@@ -506,33 +513,25 @@ def _cyclic_scan(
     cocycle: PathCocycle,
     group: PermutationGroup,
     config: Config,
-    period: DivisorInterval,
-    index: DivisorInterval,
     certs: list[Certificate],
     status: list[str],
 ):
     """Walk cyclic subgroups (largest order first), collecting cyclic
     restriction orders and loop-summand certificates.  After scan_quota
-    subgroups the scan stops early once both intervals are resolved.
+    subgroups the scan stops early once both intervals that certs prove
+    are resolved.
 
     The loop search for sigma is skipped when a LoopSummand certificate
     for its order is already held, and it stops at the first loop that
     certifies.  Both are exact: the rule certifies exactly element_order
     (sigma), and certificates are kept once per (rule, divisor), so any
-    skipped test could only have yielded a discarded duplicate and an
-    add_lower of a divisor already present.  The cyclic restriction of
-    sigma is skipped, for the same reason, when a CyclicRestriction
-    certificate is already held for every divisor d > 1 of its order: the
-    restricted class order divides |<sigma>|, so it is 1 or one of those
-    d.  A skipped sigma still counts as processed."""
-    pairs, complete = cyclic_subgroups(
-        group,
-        cap=config.max_enum,
-        seed=config.seed,
-        word_budget=config.word_budget,
-        max_word_length=config.max_word_length,
-        max_subgroups=config.max_subgroups,
-    )
+    skipped test could only have yielded a discarded duplicate, which
+    proves nothing new.  The cyclic restriction of sigma is skipped, for
+    the same reason, when a CyclicRestriction certificate is already held
+    for every divisor d > 1 of its order: the restricted class order
+    divides |<sigma>|, so it is 1 or one of those d.  A skipped sigma
+    still counts as processed."""
+    pairs, complete = cyclic_subgroups(group, config)
     if not complete:
         status.append(
             "cyclic-subgroup scan incomplete: |Aut| exceeds the enumeration cap; "
@@ -551,10 +550,8 @@ def _cyclic_scan(
     for perm, order in pairs:
         if order == 1:
             continue
-        if (
-            processed >= config.scan_quota
-            and period.resolved
-            and index.resolved
+        if processed >= config.scan_quota and all(
+            interval.resolved for interval in intervals_from_certificates(certs)
         ):
             break
         processed += 1
@@ -573,8 +570,6 @@ def _cyclic_scan(
                     witness=_cyclic_witness(sigma, order, n),
                 )
             )
-            period.add_lower(n)
-            index.add_lower(n)
         if ("LoopSummand", order) in seen:
             continue
         for loop in _scan_loops_for_sigma(lattice, sigma, order):
@@ -593,8 +588,6 @@ def _cyclic_scan(
                     },
                 )
             )
-            period.add_lower(result)
-            index.add_lower(result)
             break
 
 
@@ -616,25 +609,19 @@ def _loop_witness(g: Multigraph, loop: Chain) -> list[dict]:
 # --- the pipeline -------------------------------------------------------------
 
 
-def analyze(g: Multigraph, config: Config | None = None, _depth: int | None = None) -> BoundsReport:
+def analyze(g: Multigraph, config: Config = Config()) -> BoundsReport:
     """Full analysis of one graph: structural divisors, subgraph
     propagation, exact Sylow order when feasible, then the cyclic /
     loop-summand scan.  Always returns a report; caps only widen the
-    interval and leave a status note."""
-    config = config or Config()
-    depth = config.subgraph_depth if _depth is None else _depth
+    interval and leave a status note.  Both intervals are the ones the
+    certificates prove (intervals_from_certificates)."""
     gen = genus(g)
     group = automorphism_group(g)
     aut_order = group.order()
     lattice = homology.fundamental_cycle_basis(g)
     cocycle = PathCocycle(lattice)
 
-    period = DivisorInterval()
-    index = DivisorInterval()
-    certs: list[Certificate] = []
-    status: list[str] = []
-
-    certs.append(
+    certs = [
         Certificate(
             rule="AutOrder",
             target="period",
@@ -642,26 +629,19 @@ def analyze(g: Multigraph, config: Config | None = None, _depth: int | None = No
             divisor=aut_order,
             witness={"aut_order": str(aut_order)},
         )
-    )
-    period.add_upper(aut_order)
+    ]
+    status: list[str] = []
 
-    orbit_certs, orbit_status = index_upper_divisors(g, group, config.union_cap)
+    orbit_certs, orbit_status = index_upper_divisors(g, group, config)
     certs.extend(orbit_certs)
     status.extend(orbit_status)
-    for cert in orbit_certs:
-        index.add_upper(cert.divisor)
 
-    if depth > 0:
-        sub_certs, sub_status = propagate_subgraph(g, group, config, depth)
+    if config.subgraph_depth > 0:
+        sub_certs, sub_status = propagate_subgraph(g, group, config)
         certs.extend(sub_certs)
         status.extend(sub_status)
-        for cert in sub_certs:
-            (period if cert.target == "period" else index).add_upper(cert.divisor)
 
-    exact = cohomology.class_order_exact(
-        cocycle, group, enum_cap=config.max_enum, bar_cap=config.bar_cap,
-        seed=config.seed,
-    )
+    exact = cohomology.class_order_exact(cocycle, group, config)
     if isinstance(exact, Unknown):
         status.append(
             "exact class order not computed: "
@@ -679,27 +659,21 @@ def analyze(g: Multigraph, config: Config | None = None, _depth: int | None = No
                 witness=_sylow_witness(n, parts),
             )
         )
-        period.add_lower(n)
-        period.add_upper(n)
-        index.add_lower(n)
 
-    # period divides index, so index upper bounds constrain the period too
-    if index.upper:
-        period.add_upper(index.upper)
+    _cyclic_scan(g, lattice, cocycle, group, config, certs, status)
 
-    _cyclic_scan(g, lattice, cocycle, group, config, period, index, certs, status)
-
+    lower = intervals_from_certificates(certs)[0].lower
     certs.append(
         Certificate(
             rule="PeriodDividesIndex",
             target="index",
             direction="lower",
-            divisor=period.lower,
-            witness=_period_lower_witness(period.lower),
+            divisor=lower,
+            witness=_period_lower_witness(lower),
         )
     )
-    index.add_lower(period.lower)
 
+    period, index = intervals_from_certificates(certs)
     period.check("period")
     index.check("index")
     if period.upper and index.upper and index.upper % period.lower:
@@ -713,6 +687,29 @@ def analyze(g: Multigraph, config: Config | None = None, _depth: int | None = No
         certificates=certs,
         status=status,
     )
+
+
+def intervals_from_certificates(
+    certs: list[Certificate],
+) -> tuple[DivisorInterval, DivisorInterval]:
+    """The (period, index) intervals that certs prove.
+
+    Each certificate bounds its target in its direction.  SylowExact is the
+    exact class order, so it also bounds the period from above.  Then the
+    period divides the index: the period takes the index's upper bound and
+    the index takes the period's lower bound."""
+    period, index = DivisorInterval(), DivisorInterval()
+    for cert in certs:
+        interval = period if cert.target == "period" else index
+        if cert.direction == "lower":
+            interval.add_lower(cert.divisor)
+        else:
+            interval.add_upper(cert.divisor)
+        if cert.rule == "SylowExact":
+            period.add_upper(cert.divisor)
+    period.add_upper(index.upper)
+    index.add_lower(period.lower)
+    return period, index
 
 
 def _sylow_witness(n: int, parts: list[cohomology.SylowOrder]) -> dict:
@@ -736,7 +733,7 @@ def _period_lower_witness(lower: int) -> dict:
 # --- certificate re-verification ----------------------------------------------
 
 
-def verify_certificate(g: Multigraph, cert: Certificate, config: Config | None = None) -> bool:
+def verify_certificate(g: Multigraph, cert: Certificate, config: Config = Config()) -> bool:
     """Re-check a certificate against g from its witness alone.
 
     Each rule recomputes its divisor and every witness field, and the
@@ -750,7 +747,6 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config | None =
     not an automorphism, a chain that is not closed, a missing or mistyped
     field) verifies False.  SoundnessError propagates.
     """
-    config = config or Config()
     rule, w = cert.rule, cert.witness
     targets, direction = RULES[rule]
     if cert.target not in targets or cert.direction != direction or not isinstance(w, dict):
@@ -802,19 +798,16 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config | None =
         return cert.divisor == n and _same_json(w, _cyclic_witness(sigma, sigma.order(), n))
     if rule == "SylowExact":
         cocycle = PathCocycle(homology.fundamental_cycle_basis(g))
-        exact = cohomology.class_order_exact(
-            cocycle, automorphism_group(g), enum_cap=config.max_enum,
-            bar_cap=config.bar_cap, seed=config.seed,
-        )
+        exact = cohomology.class_order_exact(cocycle, automorphism_group(g), config)
         return (
             isinstance(exact, tuple)
             and cert.divisor == exact[0]
             and _same_json(w, _sylow_witness(*exact))
         )
     if rule == "SubgraphPropagation":
-        for sub in invariant_subgraphs(g, automorphism_group(g), config.union_cap):
+        for sub in invariant_subgraphs(g, automorphism_group(g), config):
             if sub.name == w.get("subgraph"):
-                report = analyze(sub, config, _depth=config.subgraph_depth - 1)
+                report = analyze(sub, _subgraph_config(config))
                 upper = (report.period if cert.target == "period" else report.index).upper
                 return (
                     upper != 0

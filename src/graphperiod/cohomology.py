@@ -45,7 +45,7 @@ from .autgroup import GraphAutomorphism, from_combined, identity_automorphism
 from .config import Config
 from .homology import Chain, CycleLattice, chain_action, chain_add, norm
 from .intlinalg import LatticeSolver, Matrix, NoneUpTo, matmul, matvec
-from .permgroup import Infeasible, Perm, PermutationGroup, _factor, identity, mul, sylow_subgroup
+from .permgroup import Perm, PermutationGroup, _factor, mul, sylow_subgroup
 
 
 @dataclass(frozen=True)
@@ -136,20 +136,15 @@ def restrict(cocycle: PathCocycle, elements: list[GraphAutomorphism]) -> Cocycle
     )
 
 
-def class_order_bar(table: CocycleTable, cap: int) -> int | Infeasible:
+def class_order_bar(table: CocycleTable) -> int:
     """Order of the class of the tabulated cocycle in H^2, computed against
     the inhomogeneous bar complex: least n with n*c in the image of
     d^1: C^1(H, M) -> C^2(H, M), (d f)(s, t) = s.f(t) - f(st) + f(s).
     |H| annihilates H^2, so |H| is a valid search bound.
 
-    cap (the largest |H| accepted) has no default: only the oracle runs
-    this route, and Config.bar_cap caps the presentation route instead.
-
     Row (s*n + t)*g + r is coordinate r of the value at the pair (s, t);
     column h*g + b is basis vector b of f(h).
     """
-    if table.size > cap:
-        return Infeasible(f"group of order {table.size} exceeds bar cap {cap}")
     n, g = table.size, table.rank
     preimages: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (s, t), h in table.prod.items():
@@ -208,31 +203,26 @@ Edge = tuple[int, int, int]
 
 
 def cayley_presentation(group: PermutationGroup) -> tuple[list[Perm], list[Edge], list[Edge]]:
-    """Breadth-first search of the Cayley graph of H = <X> (X =
-    group.generators) under left multiplication by X.
+    """The Cayley graph of H = <X> (X = group.generators) under left
+    multiplication by X, read off H's breadth-first enumeration.
 
-    Returns (elements, tree, relators).  elements lists H in search order,
-    identity first.  Every edge is a triple (x, h, xh) of indices into X
-    and elements, with elements[xh] = X[x] * elements[h].  tree holds the
-    |H| - 1 edges that discover an element, in discovery order; relators
-    holds the |H|(|X| - 1) + 1 others, each the relator x w_h = w_{xh}.
+    Returns (elements, tree, relators).  elements is
+    group.enumerate_elements(): H in breadth-first order, identity first.
+    Every edge is a triple (x, h, xh) of indices into X and elements, with
+    elements[xh] = X[x] * elements[h].  Scanned in (h, x) order, the order
+    of the enumeration's own search, an edge discovers the next element
+    exactly when xh = len(tree) + 1.  tree holds those |H| - 1 edges, in
+    discovery order; relators holds the |H|(|X| - 1) + 1 others, each the
+    relator x w_h = w_{xh}.
     """
-    ident = identity(group.degree)
-    index = {ident: 0}
-    elements = [ident]
+    elements = group.enumerate_elements()
+    index = {p: i for i, p in enumerate(elements)}
     tree: list[Edge] = []
     relators: list[Edge] = []
-    for h, p in enumerate(elements):  # grows while scanned: a BFS queue
+    for h, p in enumerate(elements):
         for x, q in enumerate(group.generators):
-            image = mul(q, p)
-            xh = index.get(image)
-            if xh is None:
-                xh = index[image] = len(elements)
-                elements.append(image)
-                tree.append((x, h, xh))
-            else:
-                relators.append((x, h, xh))
-    assert len(elements) == group.order(), "Cayley search disagrees with stabilizer chain"
+            xh = index[mul(q, p)]
+            (tree if xh == len(tree) + 1 else relators).append((x, h, xh))
     return elements, tree, relators
 
 
@@ -311,35 +301,32 @@ class SylowOrder:
 
 
 def class_order_exact(
-    cocycle: PathCocycle,
-    group: PermutationGroup,
-    enum_cap: int = Config.max_enum,
-    bar_cap: int = Config.bar_cap,
-    seed: int = Config.seed,
+    cocycle: PathCocycle, group: PermutationGroup, config: Config = Config()
 ) -> tuple[int, list[SylowOrder]] | Unknown:
     """Exact order of the class in H^2(G, M) as the lcm of its restrictions
     to one Sylow subgroup per prime (restriction is injective on p-primary
     parts since corestriction . restriction = index).
 
-    Each restriction comes from the Sylow subgroup's Cayley-graph
-    presentation (class_order_presented).  Needs |G| within enum_cap and
-    every Sylow subgroup of order at most bar_cap; otherwise returns
-    Unknown(|G|).  Nothing is enumerated behind enum_cap any more, since
-    sylow_subgroup grows its subgroup from random elements.  The gate stays
-    because the analysis status line for Unknown names it, and that line
-    is part of pinned reports (soccer-doubled's); dropping the gate belongs
-    with a change that alters reports anyway, such as a higher bar_cap.
+    Each restriction comes from the Cayley-graph presentation
+    (class_order_presented) of the Sylow subgroup that sylow_subgroup grows
+    under config.  Needs |G| within config.max_enum and every Sylow
+    subgroup of order at most config.bar_cap; otherwise returns
+    Unknown(|G|).  G itself is never enumerated, since sylow_subgroup grows
+    its subgroup from random elements.  The max_enum gate stays because
+    the analysis status line for Unknown names it, and that line is part
+    of pinned reports (soccer-doubled's); dropping the gate belongs with a
+    change that alters reports anyway, such as a higher bar_cap.
     """
     order = group.order()
     if order == 1:
         return 1, []
-    primes = None if order > enum_cap else _small_prime_parts(order, bar_cap)
+    primes = None if order > config.max_enum else _small_prime_parts(order, config.bar_cap)
     if primes is None:
         return Unknown(order)
     total = 1
     parts = []
     for p, pk in primes:
-        n = class_order_presented(cocycle, sylow_subgroup(group, p, seed=seed))
+        n = class_order_presented(cocycle, sylow_subgroup(group, p, config))
         parts.append(SylowOrder(prime=p, subgroup_order=pk, class_order=n))
         total = math.lcm(total, n)
     return total, parts

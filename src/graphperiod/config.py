@@ -1,8 +1,9 @@
 """Run configuration shared by the analysis pipeline and the CLI.
 
-Every cap default lives here only; library functions that take a cap
-default to the matching Config field.  Fields with a "help" entry in their
-metadata are exposed as CLI flags.
+Every cap, budget and seed lives here only: library functions that need
+one take the whole Config as a `config` parameter (defaulting to Config(),
+which is frozen and so safe to share) and read the field they need.
+Fields with a "help" entry in their metadata are exposed as CLI flags.
 """
 
 from __future__ import annotations

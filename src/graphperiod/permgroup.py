@@ -9,7 +9,6 @@ chain; orders are plain Python ints, hence arbitrary precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from random import Random
@@ -21,20 +20,6 @@ Perm = tuple[int, ...]
 
 class NotPrime(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Overflow:
-    """Enumeration declined: the group order exceeds the requested cap."""
-
-    order: int
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    """Exact computation declined under the configured caps."""
-
-    reason: str
 
 
 def identity(n: int) -> Perm:
@@ -224,8 +209,9 @@ class PermutationGroup:
         residue, _ = self._sift(p)
         return residue == identity(self.degree)
 
-    def enumerate_elements(self, cap: int) -> list[Perm] | Overflow:
-        """All elements in deterministic BFS order, or Overflow(|G|).
+    def enumerate_elements(self) -> list[Perm]:
+        """All elements in deterministic BFS order; callers compare order()
+        with their cap first.
 
         Breadth-first from the identity: each frontier element p is
         multiplied on the left by every generator in turn, mul(g, p), and
@@ -233,11 +219,6 @@ class PermutationGroup:
         of one p go through a single itemgetter(*p), which maps g to
         mul(g, p) but builds the tuple in C.
         """
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
-        n = self.order()
-        if n > cap:
-            return Overflow(order=n)
         ident = identity(self.degree)
         seen = {ident}
         out = [ident]
@@ -255,7 +236,7 @@ class PermutationGroup:
                         out.append(q)
                         nxt.append(q)
             frontier = nxt
-        assert len(out) == n, "enumeration disagrees with stabilizer chain"
+        assert len(out) == self.order(), "enumeration disagrees with stabilizer chain"
         return out
 
     @cached_property
@@ -275,35 +256,27 @@ class PermutationGroup:
 
 
 def cyclic_subgroups(
-    group: PermutationGroup,
-    cap: int,
-    seed: int = Config.seed,
-    word_budget: int = Config.word_budget,
-    max_word_length: int = Config.max_word_length,
-    max_subgroups: int = Config.max_subgroups,
+    group: PermutationGroup, config: Config = Config()
 ) -> tuple[list[tuple[Perm, int]], bool]:
     """One representative generator per distinct cyclic subgroup.
 
-    If |G| <= cap the list is complete (deduplicated over all elements,
-    in deterministic enumeration order).  Otherwise representatives come
-    from seeded random words in the generators, bounded by word_budget /
-    max_word_length / max_subgroups, and the second return value is False
-    to flag the scan as incomplete.  Every prime-power power of a found
-    element is included, so a single order-10 element also contributes
-    its order-2 and order-5 subgroups.
+    If |G| <= config.max_enum the list is complete (deduplicated over all
+    elements, in deterministic enumeration order).  Otherwise
+    representatives come from seeded random words in the generators,
+    bounded by the config's word_budget / max_word_length /
+    max_subgroups, and the second return value is False to flag the scan
+    as incomplete.  Every prime-power power of a found element is
+    included, so a single order-10 element also contributes its order-2
+    and order-5 subgroups.
     """
-    elements: list[Perm]
-    enum = group.enumerate_elements(cap)
-    if isinstance(enum, Overflow):
-        complete = False
-        rng = Random(seed)
-        pool: list[Perm] = list(group.generators)
-        for _ in range(word_budget):
-            pool.append(group.random_element(rng, max_word_length))
-        elements = pool
+    complete = group.order() <= config.max_enum
+    if complete:
+        elements = group.enumerate_elements()
     else:
-        complete = True
-        elements = enum
+        rng = Random(config.seed)
+        elements = list(group.generators)
+        for _ in range(config.word_budget):
+            elements.append(group.random_element(rng, config.max_word_length))
 
     # <q> is already recorded exactly when q generates a recorded subgroup,
     # i.e. is some power r^k, gcd(k, |r|) = 1, of a recorded generator r.
@@ -318,7 +291,7 @@ def cyclic_subgroups(
             # so the next element makes the same max_subgroups check.
             continue
         for q, m in _prime_power_parts(p):
-            if not complete and len(found) >= max_subgroups:
+            if not complete and len(found) >= config.max_subgroups:
                 return sorted(found, key=lambda t: (t[1], t[0])), False
             if q in generators:
                 continue
@@ -376,9 +349,10 @@ def p_part(n: int, p: int) -> int:
 
 
 def sylow_subgroup(
-    group: PermutationGroup, p: int, seed: int = Config.seed
+    group: PermutationGroup, p: int, config: Config = Config()
 ) -> PermutationGroup:
-    """A Sylow p-subgroup, grown from the p-parts of seeded random elements.
+    """A Sylow p-subgroup, grown from the p-parts of random elements (words
+    of length <= config.max_word_length, drawn with config.seed).
 
     A p-part y of a random element joins the p-subgroup P built so far when
     it is not in P and <P, y> still has p-power order; the stabilizer chain
@@ -391,11 +365,11 @@ def sylow_subgroup(
         raise NotPrime(f"{p} is not prime")
     target = p_part(group.order(), p)
     sub = PermutationGroup(group.degree, [])
-    rng = Random(seed)
+    rng = Random(config.seed)
     for _ in range(10_000):
         if sub.order() == target:
             break
-        y = group.random_element(rng, Config.max_word_length)
+        y = group.random_element(rng, config.max_word_length)
         m = element_order(y)
         y = perm_power(y, m // p_part(m, p))
         if not sub.contains(y):

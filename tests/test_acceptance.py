@@ -134,7 +134,7 @@ def test_criterion_7_oracle_equivalence():
         cocycle = PathCocycle(fundamental_cycle_basis(g))
         fast = class_order_cyclic(cocycle, sigma)
         table = restrict(cocycle, cyclic_group_elements(sigma))
-        slow = class_order_bar(table, cap=16)
+        slow = class_order_bar(table)
         assert fast == slow, (g.name, sigma.to_json_dict(), fast, slow)
     report_line(7, f"cyclic closed form equals bar resolution on {done} "
                    "random instances", time.monotonic() - start)

@@ -9,6 +9,7 @@ from graphperiod.autgroup import (
     identity_automorphism,
 )
 from graphperiod.bounds import (
+    RULES,
     Certificate,
     DivisorInterval,
     NotAClosedChain,
@@ -19,6 +20,7 @@ from graphperiod.bounds import (
     analyze,
     chain_from_vertex_cycle,
     index_upper_divisors,
+    intervals_from_certificates,
     invariant_subgraphs,
     period_lower_loop_summand,
     verify_certificate,
@@ -173,8 +175,8 @@ class TestInvariantSubgraphs:
         group = automorphism_group(g)
         n = len(_edge_orbits(g, group))
         for cap, enumerated in ((2**n, True), (2**n - 1, False)):
-            certs, status = index_upper_divisors(g, group, union_cap=cap)
-            subs = invariant_subgraphs(g, group, union_cap=cap)
+            certs, status = index_upper_divisors(g, group, Config(union_cap=cap))
+            subs = invariant_subgraphs(g, group, Config(union_cap=cap))
             kinds = {c.witness.get("kind") for c in certs}
             assert ("orbit-union-edges" in kinds) == enumerated
             assert bool(subs) == enumerated
@@ -256,6 +258,43 @@ class TestCertificates:
         cert = next(c for c in report.certificates if c.rule == "GenusIndex")
         bad = Certificate(cert.rule, cert.target, cert.direction, cert.divisor + 1, cert.witness)
         assert not verify_certificate(g, bad)
+
+
+def _cert(rule, divisor):
+    (target, *_), direction = RULES[rule]
+    return Certificate(rule, target, direction, divisor, {})
+
+
+def _bounds(intervals):
+    return [(i.lower, i.upper) for i in intervals]
+
+
+def test_intervals_sylow_exact_bounds_the_period_from_above():
+    certs = [_cert("AutOrder", 120), _cert("SylowExact", 5)]
+    assert _bounds(intervals_from_certificates(certs)) == [(5, 5), (5, 0)]
+    # a cyclic restriction is a lower bound only
+    certs = [_cert("AutOrder", 120), _cert("CyclicRestriction", 5)]
+    assert _bounds(intervals_from_certificates(certs)) == [(5, 120), (5, 0)]
+
+
+def test_intervals_index_upper_bound_bounds_the_period():
+    certs = [_cert("AutOrder", 120), _cert("GenusIndex", 9), _cert("OrbitSubgraph", 12)]
+    assert _bounds(intervals_from_certificates(certs)) == [(1, 3), (1, 3)]
+
+
+def test_intervals_period_lower_bound_bounds_the_index():
+    certs = [_cert("LoopSummand", 4), _cert("CyclicRestriction", 6)]
+    assert _bounds(intervals_from_certificates(certs)) == [(12, 0), (12, 0)]
+    assert _bounds(intervals_from_certificates([])) == [(1, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_printed_intervals_are_what_the_certificates_prove(name):
+    g = catalog.builtin(name)
+    for seed in range(2):
+        report = analyze(g, Config(seed=seed))
+        period, index = intervals_from_certificates(report.certificates)
+        assert (period, index) == (report.period, report.index), seed
 
 
 def test_divisor_interval_soundness_error():

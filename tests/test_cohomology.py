@@ -24,7 +24,6 @@ from graphperiod.cohomology import (
 from graphperiod.homology import boundary, chain_action, chain_add, fundamental_cycle_basis
 from graphperiod.config import Config
 from graphperiod.permgroup import (
-    Infeasible,
     PermutationGroup,
     is_prime,
     mul,
@@ -81,7 +80,7 @@ def test_restrict_to_trivial_subgroup_is_zero():
     table = restrict(c, [identity_automorphism(g)])
     assert table.size == 1
     assert set(table.values.values()) == {(0,) * lattice.rank}
-    assert class_order_bar(table, cap=32) == 1
+    assert class_order_bar(table) == 1
 
 
 def test_restrict_5_cycle_table_shape():
@@ -102,7 +101,7 @@ def test_doubled_cycle_rotation_restriction_has_full_order():
         assert rot.order() == gg - 1
         assert class_order_cyclic(c, rot) == gg - 1
         table = restrict(c, cyclic_group_elements(rot))
-        assert class_order_bar(table, cap=32) == gg - 1
+        assert class_order_bar(table) == gg - 1
 
 
 def test_k5_five_cycle_restriction():
@@ -116,15 +115,6 @@ def test_identity_restriction_trivial():
     assert class_order_cyclic(c, identity_automorphism(g)) == 1
 
 
-def test_bar_cap_infeasible():
-    g, lattice, c = make_cocycle("k34")
-    group = automorphism_group(g)
-    elements = group.enumerate_elements(200)
-    autos = [from_combined(g, p) for p in elements]
-    table = restrict(c, autos)
-    assert isinstance(class_order_bar(table, cap=32), Infeasible)
-
-
 def test_synthetic_mod2_cocycle_order_two():
     # Z/2 with trivial action on Z, c(s,s) = 1, zero elsewhere: every
     # coboundary has (d f)(s,s) = 2 f(s) - f(1) with f(1) forced to 0,
@@ -136,7 +126,7 @@ def test_synthetic_mod2_cocycle_order_two():
         values={(0, 0): (0,), (0, 1): (0,), (1, 0): (0,), (1, 1): (1,)},
         actions=[[[1]], [[1]]],
     )
-    assert class_order_bar(table, cap=8) == 2
+    assert class_order_bar(table) == 2
 
 
 @pytest.mark.parametrize(
@@ -149,7 +139,7 @@ def test_bar_order_on_shuffled_nonabelian_sylow(name, order, expected):
     # shuffles move every element but the identity to a new index
     g, lattice, c = make_cocycle(name)
     sub = sylow_subgroup(automorphism_group(g), 2)
-    elements = [from_combined(g, p) for p in sub.enumerate_elements(order)]
+    elements = [from_combined(g, p) for p in sub.enumerate_elements()]
     assert len(elements) == order
     assert any(
         a.compose(b).combined != b.compose(a).combined
@@ -160,7 +150,7 @@ def test_bar_order_on_shuffled_nonabelian_sylow(name, order, expected):
     for _ in range(3):
         rest = elements[1:]
         rng.shuffle(rest)
-        assert class_order_bar(restrict(c, elements[:1] + rest), cap=order) == expected
+        assert class_order_bar(restrict(c, elements[:1] + rest)) == expected
 
 
 @pytest.mark.parametrize(
@@ -179,15 +169,23 @@ def test_class_order_exact(name, expected):
 
 
 def test_class_order_exact_enumerates_nothing(monkeypatch):
-    def refuse(self, cap):
-        raise AssertionError("the exact class order enumerated a group")
-
+    # only the Sylow subgroups are listed, by their Cayley-graph walks
     g, lattice, c = make_cocycle("k5")
     group = automorphism_group(g)
-    monkeypatch.setattr(PermutationGroup, "enumerate_elements", refuse)
+    original = PermutationGroup.enumerate_elements
+    listed = []
+
+    def refuse_g(self):
+        if self is group:
+            raise AssertionError("the exact class order enumerated G")
+        listed.append(self.order())
+        return original(self)
+
+    monkeypatch.setattr(PermutationGroup, "enumerate_elements", refuse_g)
     result = class_order_exact(c, group)
     assert isinstance(result, tuple) and result[0] == 5
     assert [part.subgroup_order for part in result[1]] == [8, 3, 5]
+    assert listed == [8, 3, 5]
 
 
 def test_class_order_exact_unknown_for_large_groups():
@@ -244,6 +242,43 @@ def test_cayley_presentation_shape():
         assert h < xh  # a parent is discovered before its child
 
 
+def _queue_cayley_search(group):
+    """The Cayley-graph search with a queue of its own: the list of found
+    elements grows while it is scanned."""
+    ident = tuple(range(group.degree))
+    index, elements, tree, relators = {ident: 0}, [ident], [], []
+    for h, p in enumerate(elements):
+        for x, q in enumerate(group.generators):
+            image = mul(q, p)
+            xh = index.get(image)
+            if xh is None:
+                xh = index[image] = len(elements)
+                elements.append(image)
+                tree.append((x, h, xh))
+            else:
+                relators.append((x, h, xh))
+    return elements, tree, relators
+
+
+def test_cayley_presentation_equals_a_queue_search():
+    # the presentation is read off the enumeration; the tree and relators
+    # must be the ones a search with its own queue finds, in the same order
+    checked = 0
+    for name in catalog.BUILTIN_NAMES:
+        group = automorphism_group(catalog.builtin(name))
+        if group.order() > Config.max_enum:
+            continue
+        for p in (2, 3, 5, 7):
+            if not 1 < p_part(group.order(), p) <= 64:
+                continue
+            for seed in range(2):
+                sub = sylow_subgroup(group, p, Config(seed=seed))
+                assert cayley_presentation(sub) == _queue_cayley_search(sub), (name, p, seed)
+                checked += 1
+    assert cayley_presentation(PermutationGroup(4, [])) == ([(0, 1, 2, 3)], [], [])
+    assert checked >= 20
+
+
 def test_presented_order_equals_bar_on_small_sylow_subgroups():
     # every Sylow subgroup of order <= 32 of the builtins, at Sylow seeds
     # 0-2; soccer's are left out, as the bar complex of its rank-61
@@ -258,9 +293,9 @@ def test_presented_order_equals_bar_on_small_sylow_subgroups():
             if not is_prime(p) or not 1 < p_part(group.order(), p) <= 32:
                 continue
             for seed in range(3):
-                sub = sylow_subgroup(group, p, seed=seed)
-                elements = [from_combined(g, q) for q in sub.enumerate_elements(32)]
-                bar = class_order_bar(restrict(c, elements), cap=32)
+                sub = sylow_subgroup(group, p, Config(seed=seed))
+                elements = [from_combined(g, q) for q in sub.enumerate_elements()]
+                bar = class_order_bar(restrict(c, elements))
                 assert class_order_presented(c, sub) == bar, (name, p, seed)
                 checked += 1
     assert checked == 36
@@ -289,7 +324,7 @@ def test_class_order_exact_at_bar_cap_256(name, period):
     # Sylow-2 subgroups of order 128 and 256: seconds through the
     # presentation, minutes and gigabytes through the bar complex
     g, lattice, c = make_cocycle(name)
-    result = class_order_exact(c, automorphism_group(g), bar_cap=256)
+    result = class_order_exact(c, automorphism_group(g), Config(bar_cap=256))
     assert isinstance(result, tuple)
     assert result[0] == period == catalog.EXPECTED[name][1][0]
     assert max(part.subgroup_order for part in result[1]) in (128, 256)

@@ -239,10 +239,12 @@ def _sampled_automorphisms(name, count=20):
     """The graph and the generators of the first count cyclic subgroups
     of its sampled scan, the identity first."""
     from graphperiod.autgroup import automorphism_group, from_combined
+    from graphperiod.config import Config
     from graphperiod.permgroup import cyclic_subgroups
 
     g = catalog.builtin(name)
-    pairs, complete = cyclic_subgroups(automorphism_group(g), cap=1, max_subgroups=count)
+    config = Config(max_enum=1, max_subgroups=count)
+    pairs, complete = cyclic_subgroups(automorphism_group(g), config)
     assert not complete
     return g, [from_combined(g, p) for p, _ in pairs[:count]]
 

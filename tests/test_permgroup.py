@@ -8,7 +8,6 @@ from graphperiod.autgroup import automorphism_group
 from graphperiod.config import Config
 from graphperiod.permgroup import (
     NotPrime,
-    Overflow,
     PermutationGroup,
     _ChainLevel,
     _factor,
@@ -38,7 +37,7 @@ def aut_soccer():
 def test_trivial_group_from_empty_generators():
     G = PermutationGroup(5, [])
     assert G.order() == 1
-    assert G.enumerate_elements(10) == [identity(5)]
+    assert G.enumerate_elements() == [identity(5)]
 
 
 def test_s5_on_k5_order(aut_k5):
@@ -51,27 +50,27 @@ def test_doubled_4cycle_aut_order():
 
 
 def test_enumerate_matches_order(aut_k5):
-    elems = aut_k5.enumerate_elements(200)
+    elems = aut_k5.enumerate_elements()
     assert len(elems) == 120
     assert len(set(elems)) == 120
 
 
-def test_enumerate_overflow_carries_order():
-    G = automorphism_group(catalog.builtin("soccer-doubled"))
-    result = G.enumerate_elements(10**6)
-    assert isinstance(result, Overflow)
+def test_enumerate_overflow_carries_order(aut_soccer):
     # icosahedral symmetries with reflections times one swap per doubled pair
-    assert result.order == 120 * 2**30
+    assert aut_soccer.order() == 120 * 2**30
+    # above max_enum the cyclic scan samples instead of enumerating
+    pairs, complete = cyclic_subgroups(aut_soccer, Config())
+    assert complete is False
 
 
 def test_element_orders(aut_k5):
     assert element_order(identity(7)) == 1
-    orders = {element_order(p) for p in aut_k5.enumerate_elements(200)}
+    orders = {element_order(p) for p in aut_k5.enumerate_elements()}
     assert orders == {1, 2, 3, 4, 5, 6}
 
 
 def test_membership(aut_k5):
-    for p in aut_k5.enumerate_elements(200)[:20]:
+    for p in aut_k5.enumerate_elements()[:20]:
         assert aut_k5.contains(p)
     swapped = list(identity(aut_k5.degree))
     swapped[0], swapped[1] = swapped[1], swapped[0]
@@ -80,7 +79,7 @@ def test_membership(aut_k5):
 
 def test_cyclic_subgroups_trivial():
     G = PermutationGroup(3, [])
-    pairs, complete = cyclic_subgroups(G, cap=10)
+    pairs, complete = cyclic_subgroups(G, Config(max_enum=10))
     assert complete
     assert pairs == [(identity(3), 1)]
 
@@ -88,13 +87,13 @@ def test_cyclic_subgroups_trivial():
 def test_cyclic_subgroups_order_two_group():
     swap = (1, 0, 2)
     G = PermutationGroup(3, [swap])
-    pairs, complete = cyclic_subgroups(G, cap=10)
+    pairs, complete = cyclic_subgroups(G, Config(max_enum=10))
     assert complete
     assert [m for _, m in pairs] == [1, 2]
 
 
 def test_cyclic_subgroups_k5_orders(aut_k5):
-    pairs, complete = cyclic_subgroups(aut_k5, cap=1000)
+    pairs, complete = cyclic_subgroups(aut_k5, Config(max_enum=1000))
     assert complete
     orders = {m for _, m in pairs}
     assert 5 in orders and 6 in orders
@@ -115,12 +114,27 @@ def test_sylow_k5(aut_k5):
 
 def test_sylow_closure_property(aut_k5):
     sub = sylow_subgroup(aut_k5, 2)
-    elems = sub.enumerate_elements(16)
+    elems = sub.enumerate_elements()
     for a in elems:
         assert aut_k5.contains(a)
         for b in elems:
             assert mul(a, b) in elems
         assert inverse(a) in elems
+
+
+def test_sylow_growth_draws_words_of_the_configured_length(aut_k5, monkeypatch):
+    lengths = []
+    original = PermutationGroup.random_element
+
+    def spy(self, rng, word_length=10):
+        lengths.append(word_length)
+        return original(self, rng, word_length)
+
+    monkeypatch.setattr(PermutationGroup, "random_element", spy)
+    config = Config(max_word_length=5)
+    for p in (2, 3, 5):
+        assert sylow_subgroup(aut_k5, p, config).order() == p_part(120, p)
+    assert lengths and set(lengths) == {5}
 
 
 def test_sylow_not_prime(aut_k5):
@@ -139,7 +153,7 @@ def test_sylow_above_the_enumeration_cap(aut_soccer):
 
 def test_element_order_divides_group_order(aut_k5):
     n = aut_k5.order()
-    for p in aut_k5.enumerate_elements(200):
+    for p in aut_k5.enumerate_elements():
         assert n % element_order(p) == 0
 
 
@@ -164,13 +178,13 @@ def test_cyclic_subgroups_match_bruteforce(name):
     element and its prime-power parts in enumeration order, gives the same
     representatives; and every cyclic subgroup of the group is found."""
     group = automorphism_group(catalog.builtin(name))
-    elements = group.enumerate_elements(10**6)
+    elements = group.enumerate_elements()
     subgroup = {p: _generated(p) for p in elements}
     first_seen = {}
     for p in elements:
         for q, m in _prime_power_parts(p):
             first_seen.setdefault(subgroup[q], (q, m))
-    pairs, complete = cyclic_subgroups(group, cap=10**6)
+    pairs, complete = cyclic_subgroups(group, Config(max_enum=10**6))
     assert complete
     assert pairs == sorted(first_seen.values(), key=lambda t: (t[1], t[0]))
     assert set(first_seen) == set(subgroup.values())
@@ -206,17 +220,16 @@ def _plain_bfs(group):
 @pytest.mark.parametrize("name", ["k5", "doubled-k4", "hybrid"])
 def test_enumerate_elements_is_the_plain_left_bfs(name, aut_hybrid):
     group = aut_hybrid if name == "hybrid" else automorphism_group(catalog.builtin(name))
-    assert group.enumerate_elements(10**6) == _plain_bfs(group)
+    assert group.enumerate_elements() == _plain_bfs(group)
 
 
 def _scan_without_skip(group, cap, seed, max_subgroups):
     """cyclic_subgroups' loop with no early skip: every element is visited
     together with all of its prime-power parts, itself a second time when
     its order is a prime power."""
-    enum = group.enumerate_elements(cap)
-    complete = not isinstance(enum, Overflow)
+    complete = group.order() <= cap
     if complete:
-        elements = enum
+        elements = group.enumerate_elements()
     else:
         rng = Random(seed)
         elements = list(group.generators) + [
@@ -246,7 +259,8 @@ def _scan_without_skip(group, cap, seed, max_subgroups):
 def test_sampled_scan_truncates_where_the_unskipped_loop_does(aut_hybrid, max_subgroups):
     for seed in range(3):
         expected = _scan_without_skip(aut_hybrid, 1000, seed, max_subgroups)
-        got = cyclic_subgroups(aut_hybrid, cap=1000, seed=seed, max_subgroups=max_subgroups)
+        config = Config(max_enum=1000, seed=seed, max_subgroups=max_subgroups)
+        got = cyclic_subgroups(aut_hybrid, config)
         assert got == expected
         assert got[1] is False
         assert len(got[0]) == max_subgroups
@@ -262,8 +276,8 @@ def test_sampled_scan_truncates_where_the_unskipped_loop_does(aut_hybrid, max_su
 )
 def test_tiny_groups_enumerate_and_scan(degree, gens, elements, pairs):
     group = PermutationGroup(degree, gens)
-    assert group.enumerate_elements(10) == elements
-    assert cyclic_subgroups(group, cap=10) == (pairs, True)
+    assert group.enumerate_elements() == elements
+    assert cyclic_subgroups(group, Config(max_enum=10)) == (pairs, True)
 
 
 def test_prime_power_parts_returns_a_prime_power_element_once():
@@ -361,7 +375,7 @@ def test_chain_agrees_with_unsifted_constructor(name):
         if p_part(order, p) > 256:
             continue
         for seed in range(4):
-            sylow = sylow_subgroup(group, p, seed=seed)
+            sylow = sylow_subgroup(group, p, Config(seed=seed))
             assert sylow.order() == p_part(order, p)
             assert all(group.contains(g) for g in sylow.generators)
             gens = list(sylow.generators)

@@ -174,11 +174,16 @@ def test_soundness_error_propagates(reports, monkeypatch):
 
 
 def test_certificates_verify_at_deeper_subgraph_recursion():
-    config = Config(subgraph_depth=2)
-    g = catalog.builtin("doubled-k4")
-    report = analyze(g, config)
-    assert any(c.rule == "SubgraphPropagation" for c in report.certificates)
-    assert all(verify_certificate(g, c, config) for c in report.certificates)
+    # (graph, analyze config, verify config); the last verifies hybrid's
+    # depth-1 propagation under depth 0, where the subgraph's analysis
+    # runs at depth 0 too, since the depth never drops below 0
+    depth = [Config(subgraph_depth=d) for d in range(3)]
+    inputs = [("doubled-k4", depth[2], depth[2]), ("hybrid", depth[1], depth[0])]
+    for name, analyze_config, verify_config in inputs:
+        g = catalog.builtin(name)
+        report = analyze(g, analyze_config)
+        assert any(c.rule == "SubgraphPropagation" for c in report.certificates), name
+        assert all(verify_certificate(g, c, verify_config) for c in report.certificates), name
 
 
 def int_paths(value, path=()):
