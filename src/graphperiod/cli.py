@@ -108,7 +108,7 @@ def cmd_analyze(args) -> int:
             try:
                 with open(args.path, encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"cannot read {args.path}: {exc}", file=sys.stderr)
                 return 1
             graph = parse_graph(text)

@@ -211,6 +211,8 @@ def parse_graph(text: str) -> Multigraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedInput("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise MalformedInput("top level must be an object")
     extra = set(doc) - {"name", "vertices", "edges"}

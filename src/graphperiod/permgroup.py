@@ -4,18 +4,45 @@ Permutations are image tuples: p[i] is where point i goes.  Products are
 left actions, mul(p, q)[i] = p[q[i]], so (p*q) acts by q first.  Group
 order and membership come from a deterministic Schreier-Sims stabilizer
 chain; orders are plain Python ints, hence arbitrary precision.
+
+Every permutation that enters or leaves this module is a tuple (Perm).
+Inside, the element enumeration and the cyclic-subgroup scan work on keys:
+for degree <= 256 the key of p is bytes(p), and p.translate(table(g)),
+with table(g) = bytes(g) padded to 256 bytes, is mul(g, p) computed in C.
+Bytes compare like tuples of ints below 256 and cache their hash.  For a
+larger degree a point does not fit in a byte, so the key is the tuple and
+the product is itemgetter(*p)(g); _Codec hides which of the two is used.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from random import Random
 
 from .config import Config
 
 Perm = tuple[int, ...]
+
+
+class _Codec:
+    """Keys of one degree: encode(p) is the key of a Perm or key p,
+    table(p) is what apply(key) takes, and apply(key)(table(g)) is the key
+    of mul(g, key).  tuple(key) decodes a key of either kind."""
+
+    __slots__ = ("encode", "table", "apply")
+
+    def __init__(self, degree: int):
+        if degree <= 256:
+            pad = bytes(256 - degree)
+            self.encode = bytes
+            self.table = lambda p: bytes(p) + pad
+            self.apply = attrgetter("translate")
+        else:
+            self.encode = tuple
+            self.table = tuple
+            self.apply = lambda p: itemgetter(*p)
 
 
 class NotPrime(ValueError):
@@ -215,22 +242,24 @@ class PermutationGroup:
 
         Breadth-first from the identity: each frontier element p is
         multiplied on the left by every generator in turn, mul(g, p), and
-        new products join the next frontier in that order.  The products
-        of one p go through a single itemgetter(*p), which maps g to
-        mul(g, p) but builds the tuple in C.
+        new products join the next frontier in that order.  The walk runs
+        on keys (see the module docstring) and decodes them at the end.
         """
-        ident = identity(self.degree)
+        return [tuple(key) for key in self._element_keys(_Codec(self.degree))]
+
+    def _element_keys(self, codec: _Codec) -> list:
+        """The keys of enumerate_elements(), in the same order."""
+        ident = codec.encode(identity(self.degree))
+        tables = [codec.table(g) for g in self.generators]
         seen = {ident}
         out = [ident]
-        # without generators the group is {identity}; this also keeps
-        # itemgetter off degrees 0 and 1, where it raises or returns a scalar
-        frontier = [ident] if self.generators else []
+        frontier = out[:]
         while frontier:
             nxt = []
             for p in frontier:
-                times_p = itemgetter(*p)
-                for g in self.generators:
-                    q = times_p(g)
+                times_p = codec.apply(p)
+                for t in tables:
+                    q = times_p(t)
                     if q not in seen:
                         seen.add(q)
                         out.append(q)
@@ -261,28 +290,36 @@ def cyclic_subgroups(
     """One representative generator per distinct cyclic subgroup.
 
     If |G| <= config.max_enum the list is complete (deduplicated over all
-    elements, in deterministic enumeration order).  Otherwise
+    elements, in the order of enumerate_elements()).  Otherwise
     representatives come from seeded random words in the generators,
     bounded by the config's word_budget / max_word_length /
     max_subgroups, and the second return value is False to flag the scan
     as incomplete.  Every prime-power power of a found element is
     included, so a single order-10 element also contributes its order-2
-    and order-5 subgroups.
+    and order-5 subgroups.  The representatives are sorted by (order,
+    Perm).
+
+    The scan runs on keys (see the module docstring): it walks the powers
+    of each new element once, by repeated products with its table, and
+    decodes only the representatives it records.
     """
+    codec = _Codec(group.degree)
     complete = group.order() <= config.max_enum
     if complete:
-        elements = group.enumerate_elements()
+        elements = group._element_keys(codec)
     else:
         rng = Random(config.seed)
-        elements = list(group.generators)
+        elements = [codec.encode(g) for g in group.generators]
         for _ in range(config.word_budget):
-            elements.append(group.random_element(rng, config.max_word_length))
+            elements.append(codec.encode(group.random_element(rng, config.max_word_length)))
 
     # <q> is already recorded exactly when q generates a recorded subgroup,
     # i.e. is some power r^k, gcd(k, |r|) = 1, of a recorded generator r.
-    ident = identity(group.degree)
-    found: list[tuple[Perm, int]] = [(ident, 1)]
-    generators: set[Perm] = {ident}
+    ident = codec.encode(identity(group.degree))
+    found: list[tuple[bytes | Perm, int]] = [(ident, 1)]
+    generators: set = {ident}
+    # part_orders[m]: m, then its prime-power parts r^e unless m is one
+    part_orders: dict[int, list[int]] = {}
     for p in elements:
         if p in generators:
             # Exact skip: <p> = <r> for a recorded r, and r's prime-power
@@ -290,37 +327,35 @@ def cyclic_subgroups(
             # same subgroups) are all in generators too.  found is unchanged,
             # so the next element makes the same max_subgroups check.
             continue
-        for q, m in _prime_power_parts(p):
+        # powers[k] = p^k for 0 <= k < m = |p|; p != identity here
+        powers = [ident]
+        table_p = codec.table(p)
+        cur = p
+        while cur != ident:
+            powers.append(cur)
+            cur = codec.apply(cur)(table_p)
+        m = len(powers)
+        if m not in part_orders:
+            factors = _factor(m)
+            part_orders[m] = [m] + ([r**e for r, e in factors.items()] if len(factors) > 1 else [])
+        for k in part_orders[m]:
             if not complete and len(found) >= config.max_subgroups:
-                return sorted(found, key=lambda t: (t[1], t[0])), False
+                return _decoded(found), False
+            # the part of order k is p^(m / k), and its power q^j = p^(j * step)
+            # generates <q> exactly when gcd(j, k) = 1
+            step = m // k
+            q = powers[step]
             if q in generators:
                 continue
-            found.append((q, m))
-            # q != identity here, so q has degree >= 2 and times_q returns a
-            # tuple; times_q(cur) = mul(cur, q), the next power of q
-            times_q = itemgetter(*q)
-            cur = q
-            for k in range(1, m):
-                if math.gcd(k, m) == 1:
-                    generators.add(cur)
-                cur = times_q(cur)
-    return sorted(found, key=lambda t: (t[1], t[0])), complete
+            found.append((q, k))
+            generators.update(powers[j * step] for j in range(1, k) if math.gcd(j, k) == 1)
+    return _decoded(found), complete
 
 
-def _prime_power_parts(p: Perm) -> list[tuple[Perm, int]]:
-    """The element itself plus one generator per prime-power part of it.
-
-    An element of prime-power order (or the identity) is its own only
-    part, so it is returned once."""
-    m = element_order(p)
-    out = [(p, m)]
-    factors = _factor(m)
-    if len(factors) <= 1:
-        return out
-    for prime, e in factors.items():
-        q = perm_power(p, m // prime**e)
-        out.append((q, prime**e))
-    return out
+def _decoded(found: list) -> list[tuple[Perm, int]]:
+    """(key, order) pairs sorted by (order, key), keys decoded to Perms;
+    keys of one degree sort as the Perms they encode."""
+    return [(tuple(q), m) for q, m in sorted(found, key=lambda t: (t[1], t[0]))]
 
 
 def _factor(n: int) -> dict[int, int]:

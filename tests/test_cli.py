@@ -44,6 +44,22 @@ def test_analyze_invalid_graph(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+def test_analyze_deeply_nested_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "Traceback" not in err
+
+
+def test_analyze_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {path}:")
+
+
 def test_analyze_needs_exactly_one_source(capsys):
     assert main(["analyze"]) == 1
     assert main(["analyze", "x.json", "--builtin", "k5"]) == 1

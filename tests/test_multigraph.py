@@ -89,6 +89,12 @@ def test_malformed_inputs(text):
         parse_graph(text)
 
 
+def test_deeply_nested_json_is_malformed():
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+    with pytest.raises(MalformedInput, match="nested too deeply"):
+        parse_graph("[" * 100000)
+
+
 @pytest.mark.parametrize(
     "name,expected_genus",
     [

@@ -11,7 +11,6 @@ from graphperiod.permgroup import (
     PermutationGroup,
     _ChainLevel,
     _factor,
-    _prime_power_parts,
     cyclic_subgroups,
     element_order,
     identity,
@@ -172,23 +171,52 @@ def _generated(q):
     return frozenset(powers)
 
 
-@pytest.mark.parametrize("name", ["doubled-k4", "hybrid"])
-def test_cyclic_subgroups_match_bruteforce(name):
-    """Deduplicating <q> by the frozenset of its powers, over every
-    element and its prime-power parts in enumeration order, gives the same
-    representatives; and every cyclic subgroup of the group is found."""
-    group = automorphism_group(catalog.builtin(name))
+def _prime_power_parts(p):
+    """The element itself plus one generator per prime-power part of it;
+    an element of prime-power order (or the identity) is its own only
+    part, so it is returned once."""
+    m = element_order(p)
+    factors = _factor(m)
+    if len(factors) <= 1:
+        return [(p, m)]
+    return [(p, m)] + [(perm_power(p, m // r**e), r**e) for r, e in factors.items()]
+
+
+def _first_seen_reference(group):
+    """Deduplicate <q> by the frozenset of its powers, over every element
+    and its prime-power parts in enumeration order; checks that every
+    cyclic subgroup is seen and returns the first-seen representatives,
+    sorted as cyclic_subgroups sorts them."""
     elements = group.enumerate_elements()
     subgroup = {p: _generated(p) for p in elements}
     first_seen = {}
     for p in elements:
         for q, m in _prime_power_parts(p):
             first_seen.setdefault(subgroup[q], (q, m))
+    assert set(first_seen) == set(subgroup.values())
+    return sorted(first_seen.values(), key=lambda t: (t[1], t[0]))
+
+
+# every builtin with |Aut| <= 10^6; test_bruteforce_covers_every_enumerable_builtin
+# keeps this list in step with the catalog
+ENUMERABLE_BUILTINS = [name for name in catalog.BUILTIN_NAMES if name != "soccer-doubled"]
+
+
+def test_bruteforce_covers_every_enumerable_builtin(aut_soccer):
+    assert aut_soccer.order() > 10**6
+    for name in ENUMERABLE_BUILTINS:
+        assert automorphism_group(catalog.builtin(name)).order() <= 10**6
+
+
+@pytest.mark.parametrize("name", ENUMERABLE_BUILTINS)
+def test_cyclic_subgroups_match_bruteforce(name):
+    """The first-seen reference gives the same representatives, and every
+    cyclic subgroup of the group is found."""
+    group = automorphism_group(catalog.builtin(name))
     pairs, complete = cyclic_subgroups(group, Config(max_enum=10**6))
     assert complete
-    assert pairs == sorted(first_seen.values(), key=lambda t: (t[1], t[0]))
-    assert set(first_seen) == set(subgroup.values())
-    assert all(element_order(q) == m == len(subgroup[q]) for q, m in pairs)
+    assert pairs == _first_seen_reference(group)
+    assert all(element_order(q) == m == len(_generated(q)) for q, m in pairs)
 
 
 # --- the order every report depends on --------------------------------------
@@ -286,6 +314,44 @@ def test_prime_power_parts_returns_a_prime_power_element_once():
     assert _prime_power_parts(identity(4)) == [(identity(4), 1)]
     six = (1, 2, 0, 4, 3)
     assert _prime_power_parts(six) == [(six, 6), ((0, 1, 2, 4, 3), 2), ((2, 0, 1, 3, 4), 3)]
+
+
+def _top_point_group(degree):
+    """S4 x C7 of order 168: a 3-cycle through the top point degree - 1
+    and a transposition times a disjoint 7-cycle."""
+    a = list(range(degree))
+    a[degree - 1], a[0], a[1] = 0, 1, degree - 1
+    b = list(range(degree))
+    b[1], b[2] = 2, 1
+    for i in range(7):
+        b[3 + i] = 3 + (i + 1) % 7
+    return PermutationGroup(degree, [tuple(a), tuple(b)])
+
+
+@pytest.mark.parametrize("degree", [255, 256, 257])
+def test_byte_key_boundary(degree):
+    """Degree 256 is the last whose points fit in a byte; 257 takes the
+    tuple path.  Both give the plain BFS and the reference scans."""
+    group = _top_point_group(degree)
+    assert group.order() == 168
+    elements = group.enumerate_elements()
+    assert elements == _plain_bfs(group)
+    assert all(type(p) is tuple for p in elements)
+    pairs, complete = cyclic_subgroups(group, Config(max_enum=168))
+    assert complete and pairs == _first_seen_reference(group)
+    assert all(type(q) is tuple for q, _ in pairs)
+    for seed, max_subgroups in ((0, 400), (1, 10)):
+        config = Config(max_enum=100, seed=seed, max_subgroups=max_subgroups)
+        got = cyclic_subgroups(group, config)
+        assert got == _scan_without_skip(group, 100, seed, max_subgroups)
+        assert all(type(q) is tuple for q, _ in got[0])
+
+
+def test_soccer_sampled_scan_matches_the_unskipped_loop(aut_soccer):
+    # degree 180, above max_enum: the benchmark's sampled input
+    got = cyclic_subgroups(aut_soccer, Config())
+    assert got == _scan_without_skip(aut_soccer, Config.max_enum, 0, Config.max_subgroups)
+    assert got[1] is False and len(got[0]) == Config.max_subgroups
 
 
 # --- the stabilizer chain against the constructor it replaced ---------------
