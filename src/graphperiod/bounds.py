@@ -26,7 +26,7 @@ from .autgroup import (
 )
 from .cohomology import PathCocycle, Unknown
 from .config import Config
-from .homology import Chain, CycleLattice, boundary, chain_action, chain_add, norm
+from .homology import Chain, CycleLattice, boundary, chain_action, chain_add, norm, tree_path
 from .multigraph import GraphError, Multigraph, genus
 from .permgroup import PermutationGroup, cyclic_subgroups, orbits
 
@@ -203,12 +203,23 @@ def period_lower_loop_summand(
     """order(sigma) divides the period when all hypotheses hold: the loop is
     a simple cycle, its class is fixed by sigma, it is tiled by the sigma
     translates of a segment from some vertex v to sigma(v), and its class
-    generates a direct summand of the lattice as a module over <sigma>."""
+    generates a direct summand of the lattice as a module over <sigma>.
+
+    Every step is read off the walk _loop_steps makes.  A walk that closes
+    after using every edge once has zero boundary, so the boundary is
+    computed only when the walk fails, to tell a chain that is not closed
+    (NotAClosedChain) from a cycle that is not simple.  Once sigma fixes
+    the loop, it maps each step v -> w to the step sigma(v) -> sigma(w) of
+    the same walk, so it shifts every step by one constant span, the
+    position of sigma(v) for the walk's first vertex v.  The m = |sigma|
+    translates of the segment from v to sigma(v) then cover the loop
+    exactly once, that is N . segment == loop, iff span * m is the loop's
+    length; any other vertex as v gives the same span."""
     g = lattice.graph
-    if boundary(g, loop):
-        raise NotAClosedChain("the chain has nonzero boundary")
     steps = _loop_steps(g, loop)
     if steps is None:
+        if boundary(g, loop):
+            raise NotAClosedChain("the chain has nonzero boundary")
         return NotApplicable("loop is not a simple cycle")
     m = sigma.order()
     if chain_action(sigma, loop) != loop:
@@ -216,24 +227,7 @@ def period_lower_loop_summand(
     if m == 1:
         return 1
     positions = {v: i for i, (v, _) in enumerate(steps)}
-    length = len(steps)
-    tiled = False
-    for v, start in positions.items():
-        w = sigma.vperm[v]
-        if w not in positions:
-            return NotApplicable("automorphism does not preserve the loop")
-        span = (positions[w] - start) % length
-        if span == 0 or (span * m) != length:
-            continue
-        segment: Chain = {}
-        for i in range(span):
-            vv, k = steps[(start + i) % length]
-            t, _ = g.edge_ends_idx[k]
-            segment = chain_add(segment, {k: 1 if t == vv else -1})
-        if norm(sigma, m, segment) == loop:
-            tiled = True
-            break
-    if not tiled:
+    if positions[sigma.vperm[steps[0][0]]] * m != len(steps):
         return NotApplicable("loop is not tiled by translates of a v -> sigma(v) segment")
     coords = lattice.coordinates(loop)
     if not homology.coinvariant_primitive(lattice, sigma, coords):
@@ -446,8 +440,9 @@ def _scan_loops_for_sigma(
     lattice: CycleLattice, sigma: GraphAutomorphism, m: int
 ) -> list[Chain]:
     """Candidate loops for the loop-summand rule, sigma of order m > 1:
-    shortest paths from an orbit representative v to sigma(v) summed over
-    translates, plus the orbit sums of fundamental cycles."""
+    the tree path (a shortest path) from the least vertex v of each moved
+    vertex orbit to sigma(v) summed over translates, plus the orbit sums of
+    fundamental cycles."""
     g = lattice.graph
     candidates: list[Chain] = []
     seen: set[tuple] = set()
@@ -462,49 +457,15 @@ def _scan_loops_for_sigma(
         seen.add(key)
         candidates.append(chain)
 
-    moved = sorted({v for v in range(len(g.vertices)) if sigma.vperm[v] != v})
-    orbit_reps = []
-    covered: set[int] = set()
-    for v in moved:
-        if v in covered:
-            continue
-        orbit_reps.append(v)
-        w = v
-        while True:
-            covered.add(w)
-            w = sigma.vperm[w]
-            if w == v:
-                break
-    for v in orbit_reps:
-        path = _shortest_path_chain(g, v, sigma.vperm[v])
-        if path is not None:
-            push(norm(sigma, m, path))
+    nv = len(g.vertices)
+    moved = [v for v in range(nv) if sigma.vperm[v] != v]
+    for orbit in orbits(nv, [sigma.vperm], moved):
+        push(norm(sigma, m, tree_path(g, orbit[0], sigma.vperm[orbit[0]])))
     for z in lattice.basis:
         push(norm(sigma, m, z))
         if chain_action(sigma, z) == z:
             push(dict(z))
     return candidates
-
-
-def _shortest_path_chain(g: Multigraph, start: int, goal: int) -> Chain | None:
-    """BFS shortest path start -> goal as a chain (smallest edge id wins
-    ties), None if start == goal.  It is read off g's stored BFS tree from
-    start: a search that stopped once goal is reached would have set the
-    same tree edge at goal and at every vertex on its path, because a
-    search never rewrites the edge that first reached a vertex."""
-    if start == goal:
-        return None
-    tree = g.bfs_tree(start)
-    if tree[goal] < 0:
-        return None
-    chain: Chain = {}
-    v = goal
-    while v != start:
-        k = tree[v]
-        pv = g.other_end(k, v)
-        chain[k] = 1 if g.edge_ends_idx[k][0] == pv else -1
-        v = pv
-    return chain
 
 
 def _cyclic_scan(

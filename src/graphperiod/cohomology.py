@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from .autgroup import GraphAutomorphism, from_combined, identity_automorphism
 from .config import Config
-from .homology import Chain, CycleLattice, chain_action, chain_add, norm
+from .homology import Chain, CycleLattice, chain_action, chain_add, norm, tree_path
 from .intlinalg import LatticeSolver, Matrix, NoneUpTo, matmul, matvec
 from .permgroup import Perm, PermutationGroup, _factor, mul, sylow_subgroup
 
@@ -71,13 +71,13 @@ class PathCocycle:
 
     def path_chain(self, sigma: GraphAutomorphism) -> Chain:
         """Tree path from v0 to sigma(v0); boundary sigma(v0) - v0."""
-        return self.lattice.root_path(sigma.vperm[self.base_vertex])
+        return tree_path(self.graph, self.base_vertex, sigma.vperm[self.base_vertex])
 
     def value_chain(self, s: GraphAutomorphism, t: GraphAutomorphism) -> Chain:
-        v0 = self.base_vertex
-        first = self.lattice.root_path(s.vperm[v0])
-        middle = chain_action(s, self.lattice.root_path(t.vperm[v0]))
-        last = self.lattice.root_path(s.vperm[t.vperm[v0]])
+        g, v0 = self.graph, self.base_vertex
+        first = tree_path(g, v0, s.vperm[v0])
+        middle = chain_action(s, tree_path(g, v0, t.vperm[v0]))
+        last = tree_path(g, v0, s.vperm[t.vperm[v0]])
         return chain_add(chain_add(first, middle), last, -1)
 
     def value(self, s: GraphAutomorphism, t: GraphAutomorphism) -> list[int]:

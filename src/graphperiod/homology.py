@@ -88,40 +88,38 @@ def boundary(g: Multigraph, chain: Chain) -> dict[int, int]:
     return {v: x for v, x in out.items() if x}
 
 
+def tree_path(g: Multigraph, start: int, goal: int) -> Chain:
+    """The path from start to goal in g.bfs_tree(start), as a chain with
+    boundary (goal) - (start); {} when start == goal.  It is a shortest
+    path, and the smallest edge id wins ties."""
+    tree = g.bfs_tree(start)
+    chain: Chain = {}
+    v = goal
+    while v != start:
+        k = tree[v]
+        pv = g.other_end(k, v)
+        chain[k] = 1 if g.edge_ends_idx[k][0] == pv else -1
+        v = pv
+    return chain
+
+
 @dataclass
 class CycleLattice:
     """H_1(Gamma, Z) with a fundamental cycle basis.  Immutable after
-    construction apart from its caches: root paths by vertex, and per
-    automorphism (keyed by sigma.combined) the action matrix and the
-    sparse invariant-functional basis used by coinvariant_primitive."""
+    construction apart from its caches: per automorphism (keyed by
+    sigma.combined) the action matrix and the sparse invariant-functional
+    basis used by coinvariant_primitive."""
 
     graph: Multigraph
     root: int
-    parent: tuple[tuple[int, int, int] | None, ...]  # vertex -> (parent vertex, edge, sign)
     nontree: tuple[int, ...]
     basis: tuple[Chain, ...]
     _action_cache: dict = field(default_factory=dict, repr=False)
-    _root_path_cache: dict = field(default_factory=dict, repr=False)
     _coinvariant_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def rank(self) -> int:
         return len(self.nontree)
-
-    def root_path(self, vertex_idx: int) -> Chain:
-        """Tree path from the root to the given vertex, as a chain with
-        boundary = (vertex) - (root)."""
-        cached = self._root_path_cache.get(vertex_idx)
-        if cached is not None:
-            return dict(cached)
-        path: Chain = {}
-        v = vertex_idx
-        while v != self.root:
-            pv, edge, sign = self.parent[v]
-            path[edge] = sign
-            v = pv
-        self._root_path_cache[vertex_idx] = dict(path)
-        return path
 
     def coordinates(self, chain: Chain) -> list[int]:
         """Basis coordinates of a cycle: its non-tree edge values.  Raises
@@ -162,32 +160,16 @@ def fundamental_cycle_basis(g: Multigraph) -> CycleLattice:
     tree, the basis, and everything derived from them are deterministic.
     """
     root = g.vertex_index[min(g.vertices)]
-    tree = g.bfs_tree(root)
-    parent: list[tuple[int, int, int] | None] = [None] * len(g.vertices)
-    for w, k in enumerate(tree):
-        if k >= 0:
-            v = g.other_end(k, w)
-            parent[w] = (v, k, 1 if g.edge_ends_idx[k][0] == v else -1)
-    tree_edges = set(tree)
+    tree_edges = set(g.bfs_tree(root))
     nontree = tuple(k for k in g.edges_by_id if k not in tree_edges)
-
-    lattice = CycleLattice(
-        graph=g,
-        root=root,
-        parent=tuple(parent),
-        nontree=nontree,
-        basis=(),
-    )
     basis = []
     for k in nontree:
         t, h = g.edge_ends_idx[k]
-        cycle: Chain = {k: 1}
-        cycle = chain_add(cycle, lattice.root_path(t))
-        cycle = chain_add(cycle, lattice.root_path(h), -1)
+        cycle = chain_add({k: 1}, tree_path(g, root, t))
+        cycle = chain_add(cycle, tree_path(g, root, h), -1)
         assert not boundary(g, cycle), "fundamental cycle must be closed"
         basis.append(cycle)
-    object.__setattr__(lattice, "basis", tuple(basis))
-    return lattice
+    return CycleLattice(graph=g, root=root, nontree=nontree, basis=tuple(basis))
 
 
 def verify_basis(lattice: CycleLattice) -> bool:

@@ -82,18 +82,10 @@ class Multigraph:
     def _check_connected(self):
         if not self.vertices:
             raise MalformedInput("graph has no vertices")
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for k in self.incidence[v]:
-                w = self.other_end(k, v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.vertices):
-            missing = min(v for i, v in enumerate(self.vertices) if i not in seen)
-            raise Disconnected(f"vertex {missing!r} is not reachable")
+        tree = self.bfs_tree(0)
+        unreached = [v for i, v in enumerate(self.vertices) if i and tree[i] < 0]
+        if unreached:
+            raise Disconnected(f"vertex {min(unreached)!r} is not reachable")
 
     # --- indexed views -------------------------------------------------
 

@@ -320,7 +320,3 @@ SUITES = {
     "snf-contract": suite_snf_contract,
     "summand-criterion": suite_summand_criterion,
 }
-
-
-def run_all(seed: int = 0) -> dict[str, list[str]]:
-    return {name: fn(seed) for name, fn in SUITES.items()}

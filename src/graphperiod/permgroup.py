@@ -139,7 +139,7 @@ class PermutationGroup:
         self.generators: tuple[Perm, ...] = tuple(gens)
         self._levels: list[_ChainLevel] = []
         for g in self.generators:
-            residue, stop = self._sift(g)
+            residue, stop = self._sift_from(g, 0)
             if residue != self._identity:
                 self._insert(residue, stop, 0)
 
@@ -219,9 +219,6 @@ class PermutationGroup:
             if not added:
                 return
 
-    def _sift(self, p: Perm) -> tuple[Perm, int]:
-        return self._sift_from(p, 0)
-
     # --- queries ---------------------------------------------------------
 
     def order(self) -> int:
@@ -233,8 +230,8 @@ class PermutationGroup:
     def contains(self, p: Perm) -> bool:
         if len(p) != self.degree:
             return False
-        residue, _ = self._sift(p)
-        return residue == identity(self.degree)
+        residue, _ = self._sift_from(p, 0)
+        return residue == self._identity
 
     def enumerate_elements(self) -> list[Perm]:
         """All elements in deterministic BFS order; callers compare order()
@@ -272,7 +269,7 @@ class PermutationGroup:
     def _generators_and_inverses(self) -> tuple[tuple[Perm, Perm], ...]:
         return tuple((g, inverse(g)) for g in self.generators)
 
-    def random_element(self, rng: Random, word_length: int = 10) -> Perm:
+    def random_element(self, rng: Random, word_length: int) -> Perm:
         if not self.generators:
             return identity(self.degree)
         p = identity(self.degree)

@@ -1,11 +1,17 @@
 import json
 import math
-import pytest
+from functools import lru_cache
+from random import Random
 
-from graphperiod import catalog
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphperiod import catalog, homology, oracle
 from graphperiod.autgroup import (
     automorphism_generators,
     automorphism_group,
+    from_combined,
     identity_automorphism,
 )
 from graphperiod.bounds import (
@@ -16,7 +22,8 @@ from graphperiod.bounds import (
     NotApplicable,
     SoundnessError,
     _edge_orbits,
-    _shortest_path_chain,
+    _loop_steps,
+    _scan_loops_for_sigma,
     analyze,
     chain_from_vertex_cycle,
     index_upper_divisors,
@@ -27,7 +34,16 @@ from graphperiod.bounds import (
 )
 from graphperiod.cohomology import PathCocycle, class_order_cyclic
 from graphperiod.config import Config
-from graphperiod.homology import fundamental_cycle_basis
+from graphperiod.homology import (
+    boundary,
+    chain_action,
+    chain_add,
+    fundamental_cycle_basis,
+    norm,
+    tree_path,
+)
+from graphperiod.multigraph import Edge, Multigraph
+from graphperiod.permgroup import cyclic_subgroups
 
 from util import vertex_cycle_automorphism
 
@@ -376,9 +392,7 @@ def test_skipped_cyclic_restrictions_repeat_a_held_divisor(name, min_skipped, mo
 
 def _early_stopping_path(g, start, goal):
     """Level-by-level BFS from start that stops after the level reaching
-    goal; the path as a chain, None if start == goal."""
-    if start == goal:
-        return None
+    goal; the path as a chain, {} if start == goal."""
     prev, frontier, seen = {}, [start], {start}
     while frontier and goal not in seen:
         nxt = []
@@ -404,8 +418,167 @@ def test_shortest_path_chain_matches_an_early_stopping_bfs(name):
     n = len(g.vertices)
     for start in range(n):
         for goal in range(n):
-            path = _shortest_path_chain(g, start, goal)
+            path = tree_path(g, start, goal)
             expected = _early_stopping_path(g, start, goal)
             assert path == expected
-            if path is not None:
-                assert list(path.items()) == list(expected.items())
+            assert list(path.items()) == list(expected.items())
+
+
+def _per_vertex_loop_summand(lattice, sigma, loop):
+    """period_lower_loop_summand as it was before the tiling test was read
+    off the walk: the boundary first, then a segment from v to sigma(v) and
+    its orbit sum built at every loop vertex v until one tiles the loop."""
+    g = lattice.graph
+    if boundary(g, loop):
+        raise NotAClosedChain("the chain has nonzero boundary")
+    steps = _loop_steps(g, loop)
+    if steps is None:
+        return NotApplicable("loop is not a simple cycle")
+    m = sigma.order()
+    if chain_action(sigma, loop) != loop:
+        return NotApplicable("loop class is not fixed by the automorphism")
+    if m == 1:
+        return 1
+    positions = {v: i for i, (v, _) in enumerate(steps)}
+    length = len(steps)
+    tiled = False
+    for v, start in positions.items():
+        w = sigma.vperm[v]
+        if w not in positions:
+            return NotApplicable("automorphism does not preserve the loop")
+        span = (positions[w] - start) % length
+        if span == 0 or (span * m) != length:
+            continue
+        segment = {}
+        for i in range(span):
+            vv, k = steps[(start + i) % length]
+            t, _ = g.edge_ends_idx[k]
+            segment = chain_add(segment, {k: 1 if t == vv else -1})
+        if norm(sigma, m, segment) == loop:
+            tiled = True
+            break
+    if not tiled:
+        return NotApplicable("loop is not tiled by translates of a v -> sigma(v) segment")
+    coords = lattice.coordinates(loop)
+    if not homology.coinvariant_primitive(lattice, sigma, coords):
+        return NotApplicable("loop class does not generate a direct summand")
+    return m
+
+
+# hybrid has 16 864 cyclic subgroups and 178 494 candidate loops; its tests
+# take the first 400 subgroups in scan order, as many as soccer-doubled's
+# sampled scan finds at the default seed
+SCAN_LIMIT = 400
+
+
+def _candidate_loops(g, limit=None):
+    """(lattice, sigma, candidate loops) for every cyclic subgroup <sigma>
+    != 1 of Aut(g) that the scan at Config() visits, in its order (largest
+    order first), the first `limit` of them."""
+    lattice = fundamental_cycle_basis(g)
+    pairs, _ = cyclic_subgroups(automorphism_group(g), Config())
+    pairs = [(p, order) for p, order in sorted(pairs, key=lambda t: (-t[1], t[0])) if order > 1]
+    for perm, order in pairs[:limit]:
+        sigma = from_combined(g, perm)
+        yield lattice, sigma, _scan_loops_for_sigma(lattice, sigma, order)
+
+
+def _random_graphs(seeds, per_seed):
+    graphs = []
+    for seed in seeds:
+        rng = Random(seed)
+        graphs += [oracle.random_multigraph(rng) for _ in range(per_seed)]
+    return graphs
+
+
+def _limit(g):
+    return SCAN_LIMIT if g.name == "hybrid" else None
+
+
+@pytest.mark.parametrize(
+    "g",
+    [catalog.builtin(name) for name in catalog.BUILTIN_NAMES] + _random_graphs(range(4), 5),
+    ids=lambda g: g.name,
+)
+def test_tiling_from_the_walk_matches_the_per_vertex_search(g):
+    """The loop-summand rule returns what the per-vertex segment search
+    returned, reason strings included, on every candidate the scan makes."""
+    tested = 0
+    for lattice, sigma, loops in _candidate_loops(g, _limit(g)):
+        for loop in loops:
+            assert period_lower_loop_summand(lattice, sigma, loop) == (
+                _per_vertex_loop_summand(lattice, sigma, loop)
+            ), (sigma.to_json_dict(), loop)
+            tested += 1
+    assert tested > 0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [catalog.builtin(name) for name in catalog.BUILTIN_NAMES if name != "soccer-doubled"]
+    + _random_graphs([0], 60),
+    ids=lambda g: g.name,
+)
+def test_a_firing_loop_summand_divides_the_cyclic_restriction(g):
+    """When the rule certifies m = |sigma|, the class restricted to <sigma>
+    has order divisible by m, computed by the independent closed form."""
+    for lattice, sigma, loops in _candidate_loops(g, _limit(g)):
+        cocycle = PathCocycle(lattice)
+        for loop in loops:
+            m = period_lower_loop_summand(lattice, sigma, loop)
+            if type(m) is int and m > 1:
+                assert class_order_cyclic(cocycle, sigma) % m == 0, sigma.to_json_dict()
+
+
+def _intervals(g: Multigraph):
+    report = analyze(g, Config())
+    return tuple((iv.lower, iv.upper) for iv in (report.period, report.index))
+
+
+@lru_cache(maxsize=None)
+def _builtin_intervals(name: str):
+    return _intervals(catalog.builtin(name))
+
+
+@st.composite
+def _relabelings(draw, g):
+    """g with new vertex and edge ids, both lists shuffled, and some edges
+    reversed."""
+    nv, ne = len(g.vertices), len(g.edges)
+    vnames = draw(st.permutations([f"u{i:02d}" for i in range(nv)]))
+    enames = draw(st.permutations([f"x{i:03d}" for i in range(ne)]))
+    vorder = draw(st.permutations(range(nv)))
+    eorder = draw(st.permutations(range(ne)))
+    flips = draw(st.lists(st.booleans(), min_size=ne, max_size=ne))
+    rename = dict(zip(g.vertices, vnames))
+    edges = []
+    for k in eorder:
+        e = g.edges[k]
+        tail, head = (e.head, e.tail) if flips[k] else (e.tail, e.head)
+        edges.append(Edge(enames[k], rename[tail], rename[head]))
+    return Multigraph(
+        name=g.name,
+        vertices=tuple(vnames[i] for i in vorder),
+        edges=tuple(edges),
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "k5",
+        "k34",
+        "doubled-k4",
+        "doubled-cycle-g3",
+        "doubled-cycle-g4",
+        "doubled-cycle-g5",
+        "doubled-cycle-g6",
+        "hybrid",
+    ],
+)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_intervals_are_invariant_under_relabeling(name, data):
+    g = catalog.builtin(name)
+    h = data.draw(_relabelings(g))
+    assert _intervals(h) == _builtin_intervals(name)

@@ -12,6 +12,7 @@ from graphperiod.homology import (
     fundamental_cycle_basis,
     invariant_functional_gcd,
     norm,
+    tree_path,
     verify_basis,
 )
 from graphperiod.intlinalg import det_bareiss, diagonal
@@ -39,6 +40,35 @@ def test_tree_plus_one_edge_rank_one():
     L = fundamental_cycle_basis(g)
     assert L.rank == 1
     assert verify_basis(L)
+
+
+def _parent_table_root_path(lattice, vertex_idx):
+    """CycleLattice.root_path as it was: the tree path from the root, read
+    off a table of (parent vertex, edge, sign) per vertex."""
+    g = lattice.graph
+    parent = [None] * len(g.vertices)
+    for w, k in enumerate(g.bfs_tree(lattice.root)):
+        if k >= 0:
+            v = g.other_end(k, w)
+            parent[w] = (v, k, 1 if g.edge_ends_idx[k][0] == v else -1)
+    path = {}
+    v = vertex_idx
+    while v != lattice.root:
+        pv, edge, sign = parent[v]
+        path[edge] = sign
+        v = pv
+    return path
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_tree_path_from_the_root_matches_the_parent_table(name):
+    g = catalog.builtin(name)
+    lattice = fundamental_cycle_basis(g)
+    for v in range(len(g.vertices)):
+        path = tree_path(g, lattice.root, v)
+        expected = _parent_table_root_path(lattice, v)
+        assert list(path.items()) == list(expected.items())
+        assert boundary(g, path) == ({} if v == lattice.root else {v: 1, lattice.root: -1})
 
 
 def test_augmentation_kills_boundary():

@@ -60,6 +60,15 @@ def test_disconnected_rejected():
         parse_graph(json.dumps(doc))
 
 
+def test_disconnected_error_names_the_least_unreachable_vertex():
+    # vertex 0 is "c"; of the unreachable "b" and "a", the error names "a"
+    half = [{"id": f"e{i}", "ends": ["c", "d"]} for i in range(3)]
+    other = [{"id": f"f{i}", "ends": ["b", "a"]} for i in range(3)]
+    doc = {"name": "x", "vertices": ["c", "d", "b", "a"], "edges": half + other}
+    with pytest.raises(Disconnected, match="vertex 'a' is not reachable"):
+        parse_graph(json.dumps(doc))
+
+
 def test_duplicate_ids_rejected():
     doc = {
         "name": "x",

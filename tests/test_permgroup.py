@@ -125,7 +125,7 @@ def test_sylow_growth_draws_words_of_the_configured_length(aut_k5, monkeypatch):
     lengths = []
     original = PermutationGroup.random_element
 
-    def spy(self, rng, word_length=10):
+    def spy(self, rng, word_length):
         lengths.append(word_length)
         return original(self, rng, word_length)
 

@@ -40,6 +40,18 @@ REPORT_SHA256 = {
 # skipping the ones that can only repeat a held divisor is exact
 SEEDED_REPORT_SHA256 = {
     ("soccer-doubled", 1): "c4e959c36ad4552c36a30e92dece9a1c81328877c311c0df6cecbeb01856f55d",
+    ("soccer-doubled", 2): "e1a1cc3cf425cbb4e89ce62e1313f23d4cc46932858d13ccd07701161d4cbf9a",
+    ("soccer-doubled", 3): "a4416f3447290424f65bf188551229d4429a6f217d30b3016cdcf203aef0c878",
+}
+
+# Config(bar_cap=256) at the default seed: the reports of the five builtins
+# whose Sylow subgroups of order 64-256 then get a SylowExact certificate
+BAR_CAP_256_REPORT_SHA256 = {
+    "doubled-cycle-g5": "143861bb502bdce457ebccc686b6c750f6bade1d8ccac4be42b5d63fa4690818",
+    "doubled-cycle-g6": "59379071a8239c7e0808db425937160d5b4a7ba5572d4d224fca00b52065532c",
+    "doubled-cycle-g7": "1e482938b089d6b2f37ff493f31da527dc711e6e3bbd1cc1d05b154f91cb841b",
+    "doubled-cycle-g8": "2cf50f6c41dd538b13c319a262e654c39918284289b40061d58018db5dd23f38",
+    "doubled-k4": "e297737c54df6976aaaba26a15f396df06cf5fb8c03fcce4c853579d33029e6c",
 }
 
 
@@ -67,3 +79,14 @@ def test_seeded_report_hash(name, seed):
     report = analyze(catalog.builtin(name), Config(seed=seed))
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_REPORT_SHA256[(name, seed)]
+
+
+@pytest.mark.parametrize("name", sorted(BAR_CAP_256_REPORT_SHA256))
+def test_bar_cap_256_report_hash(name):
+    g = catalog.builtin(name)
+    config = Config(bar_cap=256)
+    report = analyze(g, config)
+    assert any(c.rule == "SylowExact" for c in report.certificates)
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == BAR_CAP_256_REPORT_SHA256[name]
+    assert all(verify_certificate(g, c, config) for c in report.certificates)
