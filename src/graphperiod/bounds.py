@@ -436,36 +436,22 @@ def _propagation_witness(sub: Multigraph, upper: int) -> dict:
 # --- scanning ----------------------------------------------------------------
 
 
-def _scan_loops_for_sigma(
-    lattice: CycleLattice, sigma: GraphAutomorphism, m: int
-) -> list[Chain]:
-    """Candidate loops for the loop-summand rule, sigma of order m > 1:
-    the tree path (a shortest path) from the least vertex v of each moved
-    vertex orbit to sigma(v) summed over translates, plus the orbit sums of
-    fundamental cycles."""
+def _scan_loops_for_sigma(lattice: CycleLattice, sigma: GraphAutomorphism, m: int):
+    """Candidate loops for the loop-summand rule, sigma of order m > 1,
+    yielded one at a time: the tree path (a shortest path) from the least
+    vertex v of each moved vertex orbit to sigma(v) summed over translates,
+    then the orbit sum of each fundamental cycle, followed by the cycle
+    itself when sigma fixes it.  Nothing is deduplicated: a chain that
+    repeats, or repeats negated, is yielded again, and so is an empty one."""
     g = lattice.graph
-    candidates: list[Chain] = []
-    seen: set[tuple] = set()
-
-    def push(chain: Chain):
-        if not chain:
-            return
-        key = tuple(sorted(chain.items()))
-        neg = tuple(sorted(homology.chain_scale(chain, -1).items()))
-        if key in seen or neg in seen:
-            return
-        seen.add(key)
-        candidates.append(chain)
-
     nv = len(g.vertices)
     moved = [v for v in range(nv) if sigma.vperm[v] != v]
     for orbit in orbits(nv, [sigma.vperm], moved):
-        push(norm(sigma, m, tree_path(g, orbit[0], sigma.vperm[orbit[0]])))
+        yield norm(sigma, m, tree_path(g, orbit[0], sigma.vperm[orbit[0]]))
     for z in lattice.basis:
-        push(norm(sigma, m, z))
+        yield norm(sigma, m, z)
         if chain_action(sigma, z) == z:
-            push(dict(z))
-    return candidates
+            yield z
 
 
 def _cyclic_scan(
@@ -480,18 +466,25 @@ def _cyclic_scan(
     """Walk cyclic subgroups (largest order first), collecting cyclic
     restriction orders and loop-summand certificates.  After scan_quota
     subgroups the scan stops early once both intervals that certs prove
-    are resolved.
+    are resolved.  Certificates are kept once per (rule, divisor), so a
+    test that could only yield a held divisor is skipped; a skipped sigma
+    still counts as processed.
 
-    The loop search for sigma is skipped when a LoopSummand certificate
-    for its order is already held, and it stops at the first loop that
-    certifies.  Both are exact: the rule certifies exactly element_order
-    (sigma), and certificates are kept once per (rule, divisor), so any
-    skipped test could only have yielded a discarded duplicate, which
-    proves nothing new.  The cyclic restriction of sigma is skipped, for
-    the same reason, when a CyclicRestriction certificate is already held
-    for every divisor d > 1 of its order: the restricted class order
-    divides |<sigma>|, so it is 1 or one of those d.  A skipped sigma
-    still counts as processed."""
+    The cyclic restriction of sigma is skipped when a CyclicRestriction
+    certificate is held for every divisor d > 1 of its order: the
+    restricted class order divides |<sigma>|, so it is 1 or one of those d.
+
+    The loop rule certifies exactly m = |sigma|.  Its search for sigma is
+    skipped when a LoopSummand certificate for m is held, and when the
+    restriction was computed and is not m; it stops at the first loop that
+    certifies.  A loop certifies only where the restriction is m: say the
+    rule fires on L = N.s, where N = 1 + sigma + ... + sigma^(m-1), s is a
+    path from v to sigma(v), and phi is an invariant functional with
+    phi(L) = 1.  Let P be the tree path from the base point to its image
+    and q one from the base point to v.  Then N.P - L is N of the cycle
+    P - s - q + sigma(q), so it lies in N.M, and the restricted order n,
+    the least n with n.(N.P) in N.M, has n.L = N.y for some y in M.  So
+    n = phi(N.y) = m.phi(y), m | n, and n | m."""
     pairs, complete = cyclic_subgroups(group, config)
     if not complete:
         status.append(
@@ -520,22 +513,25 @@ def _cyclic_scan(
         held = all(
             ("CyclicRestriction", d) in seen for d in range(2, order + 1) if order % d == 0
         )
-        n = 1 if held else cohomology.class_order_cyclic(cocycle, sigma)
-        if n > 1:
-            push(
-                Certificate(
-                    rule="CyclicRestriction",
-                    target="period",
-                    direction="lower",
-                    divisor=n,
-                    witness=_cyclic_witness(sigma, order, n),
+        if not held:
+            n = cohomology.class_order_cyclic(cocycle, sigma)
+            if n > 1:
+                push(
+                    Certificate(
+                        rule="CyclicRestriction",
+                        target="period",
+                        direction="lower",
+                        divisor=n,
+                        witness=_cyclic_witness(sigma, order, n),
+                    )
                 )
-            )
+            if n != order:
+                continue
         if ("LoopSummand", order) in seen:
             continue
         for loop in _scan_loops_for_sigma(lattice, sigma, order):
             result = period_lower_loop_summand(lattice, sigma, loop)
-            if isinstance(result, NotApplicable) or result == 1:
+            if isinstance(result, NotApplicable):
                 continue
             push(
                 Certificate(

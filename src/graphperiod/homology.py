@@ -33,12 +33,6 @@ def chain_add(a: Chain, b: Chain, scale: int = 1) -> Chain:
     return out
 
 
-def chain_scale(a: Chain, scale: int) -> Chain:
-    if scale == 0:
-        return {}
-    return {k: scale * x for k, x in a.items()}
-
-
 def chain_action(sigma: GraphAutomorphism, chain: Chain) -> Chain:
     """Push a chain forward along an automorphism, with sign -1 on every
     edge whose reference orientation is reversed (tail not mapped to tail).

@@ -345,15 +345,12 @@ def test_asymmetric_graph_trivial_class():
 # --- the cyclic scan ----------------------------------------------------------
 
 
-# hybrid certifies 4 but never 2, so none of its restrictions is skipped
-@pytest.mark.parametrize("name,min_skipped", [("soccer-doubled", 1), ("hybrid", 0)])
-def test_skipped_cyclic_restrictions_repeat_a_held_divisor(name, min_skipped, monkeypatch):
-    """Replay the scan's processed elements in order: every sigma whose
-    restriction the scan skipped has class order 1 or a divisor that an
-    earlier computed restriction already certified."""
+def _replay_scan(g, monkeypatch):
+    """Analyze g at Config() and return the report, every sigma the scan
+    processed on g itself (not on its invariant subgraphs), in order, and
+    the restriction it computed for each, keyed by sigma.combined."""
     from graphperiod import bounds, cohomology
 
-    g = catalog.builtin(name)
     processed, computed = [], {}
     real_from_combined = bounds.from_combined
     real_class_order = cohomology.class_order_cyclic
@@ -374,7 +371,17 @@ def test_skipped_cyclic_restrictions_repeat_a_held_divisor(name, min_skipped, mo
     monkeypatch.setattr(cohomology, "class_order_cyclic", recording_class_order)
     report = analyze(g, Config())
     monkeypatch.undo()
+    return report, processed, computed
 
+
+# hybrid certifies 4 but never 2, so none of its restrictions is skipped
+@pytest.mark.parametrize("name,min_skipped", [("soccer-doubled", 1), ("hybrid", 0)])
+def test_skipped_cyclic_restrictions_repeat_a_held_divisor(name, min_skipped, monkeypatch):
+    """Replay the scan's processed elements in order: every sigma whose
+    restriction the scan skipped has class order 1 or a divisor that an
+    earlier computed restriction already certified."""
+    g = catalog.builtin(name)
+    report, processed, computed = _replay_scan(g, monkeypatch)
     cocycle = PathCocycle(fundamental_cycle_basis(g))
     held: set[int] = set()
     skipped = 0
@@ -388,6 +395,26 @@ def test_skipped_cyclic_restrictions_repeat_a_held_divisor(name, min_skipped, mo
             held.add(n)
     assert skipped >= min_skipped
     assert held == {c.divisor for c in report.certificates if c.rule == "CyclicRestriction"}
+
+
+@pytest.mark.parametrize("name", ["soccer-doubled", "hybrid"])
+def test_skipped_loop_searches_could_not_certify(name, monkeypatch):
+    """Replay the scan's processed elements: for every sigma whose
+    restriction the scan computed as n != |sigma|, so that it ran no loop
+    search, no candidate loop certifies."""
+    g = catalog.builtin(name)
+    _, processed, computed = _replay_scan(g, monkeypatch)
+    lattice = fundamental_cycle_basis(g)
+    skipped = 0
+    for sigma in processed:
+        m = sigma.order()
+        if computed.get(sigma.combined, m) == m:
+            continue
+        skipped += 1
+        for loop in _scan_loops_for_sigma(lattice, sigma, m):
+            verdict = period_lower_loop_summand(lattice, sigma, loop)
+            assert isinstance(verdict, NotApplicable), (sigma.to_json_dict(), loop)
+    assert skipped > 0
 
 
 def _early_stopping_path(g, start, goal):
@@ -465,9 +492,10 @@ def _per_vertex_loop_summand(lattice, sigma, loop):
     return m
 
 
-# hybrid has 16 864 cyclic subgroups and 178 494 candidate loops; its tests
-# take the first 400 subgroups in scan order, as many as soccer-doubled's
-# sampled scan finds at the default seed
+# hybrid has 16 864 cyclic subgroups and 346 670 candidate loops (178 494
+# once repeats and negated repeats are dropped); its tests take the first
+# 400 subgroups in scan order, as many as soccer-doubled's sampled scan
+# finds at the default seed
 SCAN_LIMIT = 400
 
 
@@ -492,7 +520,7 @@ def _random_graphs(seeds, per_seed):
 
 
 def _limit(g):
-    return SCAN_LIMIT if g.name == "hybrid" else None
+    return SCAN_LIMIT if g.name in ("hybrid", "soccer-doubled") else None
 
 
 @pytest.mark.parametrize(
@@ -515,19 +543,60 @@ def test_tiling_from_the_walk_matches_the_per_vertex_search(g):
 
 @pytest.mark.parametrize(
     "g",
-    [catalog.builtin(name) for name in catalog.BUILTIN_NAMES if name != "soccer-doubled"]
-    + _random_graphs([0], 60),
+    [catalog.builtin(name) for name in catalog.BUILTIN_NAMES] + _random_graphs([0], 60),
     ids=lambda g: g.name,
 )
 def test_a_firing_loop_summand_divides_the_cyclic_restriction(g):
     """When the rule certifies m = |sigma|, the class restricted to <sigma>
-    has order divisible by m, computed by the independent closed form."""
+    has order exactly m, computed by the independent closed form: the
+    equality the scan relies on to search loops only where it holds."""
+    fired = 0
     for lattice, sigma, loops in _candidate_loops(g, _limit(g)):
-        cocycle = PathCocycle(lattice)
-        for loop in loops:
-            m = period_lower_loop_summand(lattice, sigma, loop)
-            if type(m) is int and m > 1:
-                assert class_order_cyclic(cocycle, sigma) % m == 0, sigma.to_json_dict()
+        if any(type(period_lower_loop_summand(lattice, sigma, loop)) is int for loop in loops):
+            fired += 1
+            assert class_order_cyclic(PathCocycle(lattice), sigma) == sigma.order(), (
+                sigma.to_json_dict()
+            )
+    if g.name == "soccer-doubled":
+        assert fired > 0
+
+
+def _first_certifying(lattice, sigma, loops):
+    return next(
+        (loop for loop in loops if type(period_lower_loop_summand(lattice, sigma, loop)) is int),
+        None,
+    )
+
+
+def _deduplicated(loops):
+    """The candidates without the empty chain and without any chain that
+    repeats an earlier one or its negation, in first-occurrence order."""
+    seen = set()
+    for loop in loops:
+        key = tuple(sorted(loop.items()))
+        neg = tuple(sorted((k, -x) for k, x in loop.items()))
+        if loop and key not in seen and neg not in seen:
+            seen.add(key)
+            yield loop
+
+
+@pytest.mark.parametrize(
+    "g",
+    [catalog.builtin(name) for name in catalog.BUILTIN_NAMES] + _random_graphs(range(4), 5),
+    ids=lambda g: g.name,
+)
+def test_repeated_candidates_leave_the_first_certifying_loop_unchanged(g):
+    """The scan tests the streamed candidates, repeats included, until one
+    certifies; with repeats and negated repeats dropped it stops at the
+    same loop.  A negated repeat can get another verdict (for |sigma| > 2
+    the tiling test reads the direction sigma rotates the loop), so this is
+    checked, not implied: on these graphs every such repeat comes after its
+    first occurrence certified and ended the search."""
+    for lattice, sigma, loops in _candidate_loops(g, _limit(g)):
+        loops = list(loops)
+        assert _first_certifying(lattice, sigma, loops) == _first_certifying(
+            lattice, sigma, _deduplicated(loops)
+        ), sigma.to_json_dict()
 
 
 def _intervals(g: Multigraph):
