@@ -99,15 +99,6 @@ class GraphAutomorphism:
             tuple(self.eperm[x] for x in other.eperm),
         )
 
-    def inverse(self) -> "GraphAutomorphism":
-        vinv = [0] * len(self.vperm)
-        einv = [0] * len(self.eperm)
-        for i, x in enumerate(self.vperm):
-            vinv[x] = i
-        for i, x in enumerate(self.eperm):
-            einv[x] = i
-        return GraphAutomorphism(self.graph, tuple(vinv), tuple(einv))
-
     def order(self) -> int:
         return self._order
 

@@ -26,9 +26,10 @@ from .autgroup import (
 )
 from .cohomology import PathCocycle, Unknown
 from .config import Config
-from .homology import Chain, CycleLattice, boundary, chain_action, chain_add, norm, tree_path
+from .homology import Chain, CycleLattice, boundary, chain_action, norm, tree_path
+from .intlinalg import axpy
 from .multigraph import GraphError, Multigraph, genus
-from .permgroup import PermutationGroup, cyclic_subgroups, orbits
+from .permgroup import PermutationGroup, SylowGrowthStalled, cyclic_subgroups, orbits
 
 # Every certificate rule, with the targets it bounds and its direction.
 RULES = {
@@ -139,6 +140,17 @@ class BoundsReport:
         }
 
 
+def _certificate(
+    rule: str, divisor: int, witness: dict, target: str | None = None
+) -> Certificate:
+    """The rule's certificate, with the direction RULES gives it and its
+    target: the only one, or the one given for SubgraphPropagation.  Every
+    certificate is made here, through one builder per rule, which both
+    analyze and verify_certificate call."""
+    targets, direction = RULES[rule]
+    return Certificate(rule, target or targets[0], direction, divisor, witness)
+
+
 def _json_int(x: int):
     # JSON numbers round-trip exactly only inside the double mantissa;
     # larger values are emitted as decimal strings.
@@ -160,7 +172,7 @@ def chain_from_vertex_cycle(g: Multigraph, vertex_ids: list[str]) -> Chain:
             raise ValueError(f"no edge between {a!r} and {b!r}")
         k = ks[0]
         t, _ = g.edge_ends_idx[k]
-        chain = chain_add(chain, {k: 1 if t == ia else -1})
+        chain = axpy(chain, {k: 1 if t == ia else -1})
     return chain
 
 
@@ -276,16 +288,26 @@ def _orbit_unions(
     ]
 
 
-def _orbit_witnesses(
+def _genus_cert(g: Multigraph) -> Certificate:
+    gen = genus(g)
+    return _certificate("GenusIndex", gen - 1, {"genus": gen})
+
+
+def _orbit_certs(
     g: Multigraph, eorbits: list[list[int]], vorbits: list[list[int]]
-) -> list[tuple[int, dict]]:
-    """(divisor, witness) of the OrbitSubgraph certificate of every edge
-    orbit (its size) and every vertex orbit (twice its size)."""
+) -> list[Certificate]:
+    """The OrbitSubgraph certificate of every edge orbit (its size) and
+    every vertex orbit (twice its size)."""
     return [
-        (len(orbit), {"kind": "edge-orbit", "edges": [g.edges[k].id for k in orbit]})
+        _certificate(
+            "OrbitSubgraph",
+            len(orbit),
+            {"kind": "edge-orbit", "edges": [g.edges[k].id for k in orbit]},
+        )
         for orbit in eorbits
     ] + [
-        (
+        _certificate(
+            "OrbitSubgraph",
             2 * len(orbit),
             {"kind": "vertex-orbit-doubled", "vertices": [g.vertices[v] for v in orbit]},
         )
@@ -293,17 +315,20 @@ def _orbit_witnesses(
     ]
 
 
-def _orbit_union_witnesses(g: Multigraph, combo, edges: list[int]) -> list[tuple[int, dict]]:
-    """(divisor, witness) of the two OrbitSubgraph certificates of one
-    union of edge orbits: its edge count and twice its vertex count."""
+def _orbit_union_certs(g: Multigraph, combo, edges: list[int]) -> list[Certificate]:
+    """The two OrbitSubgraph certificates of one nonempty union of edge
+    orbits: its edge count and twice its vertex count."""
     counts = {
         "orbits": list(combo),
         "edge_count": len(edges),
         "vertex_count": len(_incident_vertices(g, edges)),
     }
     return [
-        (counts["edge_count"], {"kind": "orbit-union-edges", **counts}),
-        (2 * counts["vertex_count"], {"kind": "orbit-union-vertices", **counts}),
+        _certificate("OrbitSubgraph", divisor, {"kind": kind, **counts})
+        for kind, divisor in (
+            ("orbit-union-edges", counts["edge_count"]),
+            ("orbit-union-vertices", 2 * counts["vertex_count"]),
+        )
     ]
 
 
@@ -313,48 +338,22 @@ def index_upper_divisors(
     """Certified divisors of the index: g-1, each edge-orbit size, twice
     each vertex-orbit size, and edge count / twice vertex count of every
     union of edge orbits (an invariant subgraph), enumerated while
-    2^#orbits stays within config.union_cap."""
-    certs = []
-    status = []
-    gen = genus(g)
-    certs.append(
-        Certificate(
-            rule="GenusIndex",
-            target="index",
-            direction="upper",
-            divisor=gen - 1,
-            witness={"genus": gen},
-        )
-    )
+    2^#orbits stays within config.union_cap.  Orbit certificates are kept
+    once per (kind, divisor)."""
     eorbits = _edge_orbits(g, group)
-    vorbits = _vertex_orbits(g, group)
-    seen: set[tuple[str, int]] = set()
-
-    def orbit_cert(divisor: int, witness: dict):
-        key = (witness["kind"], divisor)
-        if divisor >= 1 and key not in seen:
-            seen.add(key)
-            certs.append(
-                Certificate(
-                    rule="OrbitSubgraph",
-                    target="index",
-                    direction="upper",
-                    divisor=divisor,
-                    witness=witness,
-                )
-            )
-
-    for divisor, witness in _orbit_witnesses(g, eorbits, vorbits):
-        orbit_cert(divisor, witness)
+    candidates = _orbit_certs(g, eorbits, _vertex_orbits(g, group))
+    status = []
     unions = _orbit_unions(eorbits, config.union_cap)
     if unions is None:
         status.append(
             f"orbit unions not enumerated (2^{len(eorbits)} exceeds cap {config.union_cap})"
         )
     for combo, edges in unions or []:
-        for divisor, witness in _orbit_union_witnesses(g, combo, edges):
-            orbit_cert(divisor, witness)
-    return certs, status
+        candidates += _orbit_union_certs(g, combo, edges)
+    kept: dict[tuple[str, int], Certificate] = {}
+    for cert in candidates:
+        kept.setdefault((cert.witness["kind"], cert.divisor), cert)
+    return [_genus_cert(g), *kept.values()], status
 
 
 # --- invariant subgraphs -----------------------------------------------------
@@ -411,26 +410,19 @@ def propagate_subgraph(
         report = analyze(sub, sub_config)
         for target, interval in (("period", report.period), ("index", report.index)):
             if interval.upper:
-                certs.append(
-                    Certificate(
-                        rule="SubgraphPropagation",
-                        target=target,
-                        direction="upper",
-                        divisor=interval.upper,
-                        witness=_propagation_witness(sub, interval.upper),
-                    )
-                )
+                certs.append(_propagation_cert(sub, target, interval.upper))
         if report.status:
             status.extend(f"{sub.name}: {s}" for s in report.status)
     return certs, status
 
 
-def _propagation_witness(sub: Multigraph, upper: int) -> dict:
-    return {
+def _propagation_cert(sub: Multigraph, target: str, upper: int) -> Certificate:
+    witness = {
         "subgraph": sub.name,
         "edges": [e.id for e in sub.edges],
         "subgraph_bound": _json_int(upper),
     }
+    return _certificate("SubgraphPropagation", upper, witness, target)
 
 
 # --- scanning ----------------------------------------------------------------
@@ -516,15 +508,7 @@ def _cyclic_scan(
         if not held:
             n = cohomology.class_order_cyclic(cocycle, sigma)
             if n > 1:
-                push(
-                    Certificate(
-                        rule="CyclicRestriction",
-                        target="period",
-                        direction="lower",
-                        divisor=n,
-                        witness=_cyclic_witness(sigma, order, n),
-                    )
-                )
+                push(_cyclic_cert(sigma, order, n))
             if n != order:
                 continue
         if ("LoopSummand", order) in seen:
@@ -533,34 +517,26 @@ def _cyclic_scan(
             result = period_lower_loop_summand(lattice, sigma, loop)
             if isinstance(result, NotApplicable):
                 continue
-            push(
-                Certificate(
-                    rule="LoopSummand",
-                    target="period",
-                    direction="lower",
-                    divisor=result,
-                    witness={
-                        "automorphism": sigma.to_json_dict(),
-                        "loop": _loop_witness(g, loop),
-                    },
-                )
-            )
+            push(_loop_cert(g, sigma, loop, result))
             break
 
 
-def _cyclic_witness(sigma: GraphAutomorphism, order: int, n: int) -> dict:
-    return {
+def _cyclic_cert(sigma: GraphAutomorphism, order: int, n: int) -> Certificate:
+    witness = {
         "automorphism": sigma.to_json_dict(),
         "element_order": order,
         "restricted_class_order": n,
     }
+    return _certificate("CyclicRestriction", n, witness)
 
 
-def _loop_witness(g: Multigraph, loop: Chain) -> list[dict]:
-    return [
-        {"edge": g.edges[k].id, "sign": sign}
-        for k, sign in sorted(loop.items(), key=lambda t: g.edges[t[0]].id)
-    ]
+def _loop_cert(g: Multigraph, sigma: GraphAutomorphism, loop: Chain, m: int) -> Certificate:
+    steps = sorted(loop.items(), key=lambda t: g.edges[t[0]].id)
+    witness = {
+        "automorphism": sigma.to_json_dict(),
+        "loop": [{"edge": g.edges[k].id, "sign": sign} for k, sign in steps],
+    }
+    return _certificate("LoopSummand", m, witness)
 
 
 # --- the pipeline -------------------------------------------------------------
@@ -578,15 +554,7 @@ def analyze(g: Multigraph, config: Config = Config()) -> BoundsReport:
     lattice = homology.fundamental_cycle_basis(g)
     cocycle = PathCocycle(lattice)
 
-    certs = [
-        Certificate(
-            rule="AutOrder",
-            target="period",
-            direction="upper",
-            divisor=aut_order,
-            witness={"aut_order": str(aut_order)},
-        )
-    ]
+    certs = [_aut_order_cert(aut_order)]
     status: list[str] = []
 
     orbit_certs, orbit_status = index_upper_divisors(g, group, config)
@@ -598,37 +566,23 @@ def analyze(g: Multigraph, config: Config = Config()) -> BoundsReport:
         certs.extend(sub_certs)
         status.extend(sub_status)
 
-    exact = cohomology.class_order_exact(cocycle, group, config)
-    if isinstance(exact, Unknown):
-        status.append(
-            "exact class order not computed: "
-            f"|Aut| = {exact.upper} against enumeration cap {config.max_enum} "
-            f"or a Sylow subgroup above bar cap {config.bar_cap}"
-        )
+    try:
+        exact = cohomology.class_order_exact(cocycle, group, config)
+    except SylowGrowthStalled as stalled:
+        status.append(f"exact class order not computed: {stalled}")
     else:
-        n, parts = exact
-        certs.append(
-            Certificate(
-                rule="SylowExact",
-                target="period",
-                direction="lower",
-                divisor=n,
-                witness=_sylow_witness(n, parts),
+        if isinstance(exact, Unknown):
+            status.append(
+                "exact class order not computed: "
+                f"|Aut| = {exact.upper} against enumeration cap {config.max_enum} "
+                f"or a Sylow subgroup above bar cap {config.bar_cap}"
             )
-        )
+        else:
+            certs.append(_sylow_cert(*exact))
 
     _cyclic_scan(g, lattice, cocycle, group, config, certs, status)
 
-    lower = intervals_from_certificates(certs)[0].lower
-    certs.append(
-        Certificate(
-            rule="PeriodDividesIndex",
-            target="index",
-            direction="lower",
-            divisor=lower,
-            witness=_period_lower_witness(lower),
-        )
-    )
+    certs.append(_period_lower_cert(intervals_from_certificates(certs)[0].lower))
 
     period, index = intervals_from_certificates(certs)
     period.check("period")
@@ -669,8 +623,12 @@ def intervals_from_certificates(
     return period, index
 
 
-def _sylow_witness(n: int, parts: list[cohomology.SylowOrder]) -> dict:
-    return {
+def _aut_order_cert(aut_order: int) -> Certificate:
+    return _certificate("AutOrder", aut_order, {"aut_order": str(aut_order)})
+
+
+def _sylow_cert(n: int, parts: list[cohomology.SylowOrder]) -> Certificate:
+    witness = {
         "class_order": n,
         "sylow_parts": [
             {
@@ -681,10 +639,11 @@ def _sylow_witness(n: int, parts: list[cohomology.SylowOrder]) -> dict:
             for p in parts
         ],
     }
+    return _certificate("SylowExact", n, witness)
 
 
-def _period_lower_witness(lower: int) -> dict:
-    return {"period_lower": _json_int(lower)}
+def _period_lower_cert(lower: int) -> Certificate:
+    return _certificate("PeriodDividesIndex", lower, {"period_lower": _json_int(lower)})
 
 
 # --- certificate re-verification ----------------------------------------------
@@ -693,86 +652,82 @@ def _period_lower_witness(lower: int) -> dict:
 def verify_certificate(g: Multigraph, cert: Certificate, config: Config = Config()) -> bool:
     """Re-check a certificate against g from its witness alone.
 
-    Each rule recomputes its divisor and every witness field, and the
-    certificate verifies only if both equal what analyze writes into a
-    report, types included (5.0 or true is not the int 5 or 1; see
-    _same_json); its target and direction must be the rule's own.  The rules
-    that need Aut(g) get it from automorphism_group, which builds it once
-    per graph object, so all certificates of a report checked against the
-    same g share one group, and a fresh parse of the graph builds it anew.
-    A witness that does not decode against g (an unknown id, a map that is
-    not an automorphism, a chain that is not closed, a missing or mistyped
-    field) verifies False.  SoundnessError propagates.
+    The witness names what the rule starts from (an automorphism, a loop, a
+    union of edge orbits, a subgraph); the rule is recomputed on it and its
+    certificate rebuilt with the builder analyze uses.  The certificate
+    verifies only if it equals that rebuilt one in every field (rule,
+    target, direction, divisor, witness), the witness compared as JSON,
+    types included (5.0 or true is not the int 5 or 1; see _same_json).
+    The rules that need Aut(g) get it from automorphism_group, which builds
+    it once per graph object, so all certificates of a report checked
+    against the same g share one group, and a fresh parse of the graph
+    builds it anew.  A witness that does not decode against g (an unknown
+    id, a map that is not an automorphism, a chain that is not closed, a
+    missing or mistyped field) verifies False.  SoundnessError propagates.
     """
-    rule, w = cert.rule, cert.witness
-    targets, direction = RULES[rule]
-    if cert.target not in targets or cert.direction != direction or not isinstance(w, dict):
+    if not isinstance(cert.witness, dict):
         return False
+    try:
+        rebuilt = _rebuild(g, cert, config)
+    except NotAClosedChain:
+        return False
+    return any(cert == other and _same_json(cert.witness, other.witness) for other in rebuilt)
+
+
+def _rebuild(g: Multigraph, cert: Certificate, config: Config) -> list[Certificate]:
+    """The certificates of cert's rule that g gives for the inputs its
+    witness names: one, or every orbit certificate of g, or none when the
+    witness does not decode or the rule does not apply."""
+    rule, w = cert.rule, cert.witness
     if rule == "GenusIndex":
-        gen = genus(g)
-        return cert.divisor == gen - 1 and _same_json(w, {"genus": gen})
+        return [_genus_cert(g)]
     if rule == "AutOrder":
-        order = automorphism_group(g).order()
-        return cert.divisor == order and _same_json(w, {"aut_order": str(order)})
+        return [_aut_order_cert(automorphism_group(g).order())]
+    if rule == "PeriodDividesIndex":
+        return [_period_lower_cert(cert.divisor)]
     if rule == "OrbitSubgraph":
         group = automorphism_group(g)
         eorbits = _edge_orbits(g, group)
-        if w.get("kind") in ("orbit-union-edges", "orbit-union-vertices"):
-            combo = w.get("orbits")
-            if not (
-                isinstance(combo, list)
-                and all(type(i) is int and 0 <= i < len(eorbits) for i in combo)
-                and combo == sorted(set(combo))
-            ):
-                return False
-            candidates = _orbit_union_witnesses(g, combo, _union_edges(eorbits, combo))
-        else:
-            candidates = _orbit_witnesses(g, eorbits, _vertex_orbits(g, group))
-        return any(d == cert.divisor and _same_json(w, cw) for d, cw in candidates)
-    if rule in ("LoopSummand", "CyclicRestriction"):
-        try:
-            sigma = from_json_dict(g, w.get("automorphism"))
-        except ValueError:
-            return False
-    if rule == "LoopSummand":
-        try:
-            loop: Chain = {g.edge_index[item["edge"]]: item["sign"] for item in w["loop"]}
-        except (KeyError, TypeError):
-            return False
-        if any(type(sign) is not int or sign not in (1, -1) for sign in loop.values()):
-            return False
-        expected = {"automorphism": sigma.to_json_dict(), "loop": _loop_witness(g, loop)}
-        if not _same_json(w, expected):
-            return False
-        lattice = homology.fundamental_cycle_basis(g)
-        try:
-            return period_lower_loop_summand(lattice, sigma, loop) == cert.divisor
-        except NotAClosedChain:
-            return False
-    if rule == "CyclicRestriction":
-        cocycle = PathCocycle(homology.fundamental_cycle_basis(g))
-        n = cohomology.class_order_cyclic(cocycle, sigma)
-        return cert.divisor == n and _same_json(w, _cyclic_witness(sigma, sigma.order(), n))
+        if w.get("kind") not in ("orbit-union-edges", "orbit-union-vertices"):
+            return _orbit_certs(g, eorbits, _vertex_orbits(g, group))
+        combo = w.get("orbits")
+        if not (
+            isinstance(combo, list)
+            and combo
+            and all(type(i) is int and 0 <= i < len(eorbits) for i in combo)
+            and combo == sorted(set(combo))
+        ):
+            return []
+        return _orbit_union_certs(g, combo, _union_edges(eorbits, combo))
     if rule == "SylowExact":
         cocycle = PathCocycle(homology.fundamental_cycle_basis(g))
-        exact = cohomology.class_order_exact(cocycle, automorphism_group(g), config)
-        return (
-            isinstance(exact, tuple)
-            and cert.divisor == exact[0]
-            and _same_json(w, _sylow_witness(*exact))
-        )
+        try:
+            exact = cohomology.class_order_exact(cocycle, automorphism_group(g), config)
+        except SylowGrowthStalled:
+            return []
+        return [] if isinstance(exact, Unknown) else [_sylow_cert(*exact)]
     if rule == "SubgraphPropagation":
         for sub in invariant_subgraphs(g, automorphism_group(g), config):
             if sub.name == w.get("subgraph"):
                 report = analyze(sub, _subgraph_config(config))
                 upper = (report.period if cert.target == "period" else report.index).upper
-                return (
-                    upper != 0
-                    and cert.divisor == upper
-                    and _same_json(w, _propagation_witness(sub, upper))
-                )
-        return False
-    return _same_json(w, _period_lower_witness(cert.divisor))  # PeriodDividesIndex
+                return [_propagation_cert(sub, cert.target, upper)] if upper else []
+        return []
+    try:
+        sigma = from_json_dict(g, w.get("automorphism"))
+    except ValueError:
+        return []
+    if rule == "CyclicRestriction":
+        cocycle = PathCocycle(homology.fundamental_cycle_basis(g))
+        return [_cyclic_cert(sigma, sigma.order(), cohomology.class_order_cyclic(cocycle, sigma))]
+    try:  # LoopSummand
+        loop: Chain = {g.edge_index[item["edge"]]: item["sign"] for item in w["loop"]}
+    except (KeyError, TypeError):
+        return []
+    if any(type(sign) is not int or sign not in (1, -1) for sign in loop.values()):
+        return []
+    m = period_lower_loop_summand(homology.fundamental_cycle_basis(g), sigma, loop)
+    return [] if isinstance(m, NotApplicable) else [_loop_cert(g, sigma, loop, m)]
 
 
 def _same_json(a, b) -> bool:

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 from .autgroup import GraphAutomorphism, from_combined, identity_automorphism
 from .config import Config
-from .homology import Chain, CycleLattice, chain_action, chain_add, norm, tree_path
-from .intlinalg import LatticeSolver, Matrix, NoneUpTo, matmul, matvec
+from .homology import Chain, CycleLattice, chain_action, norm, tree_path
+from .intlinalg import LatticeSolver, Matrix, NoneUpTo, axpy, matmul, matvec
 from .permgroup import Perm, PermutationGroup, _factor, mul, sylow_subgroup
 
 
@@ -78,7 +78,7 @@ class PathCocycle:
         first = tree_path(g, v0, s.vperm[v0])
         middle = chain_action(s, tree_path(g, v0, t.vperm[v0]))
         last = tree_path(g, v0, s.vperm[t.vperm[v0]])
-        return chain_add(chain_add(first, middle), last, -1)
+        return axpy(axpy(first, middle), last, -1)
 
     def value(self, s: GraphAutomorphism, t: GraphAutomorphism) -> list[int]:
         return self.lattice.coordinates(self.value_chain(s, t))
@@ -309,9 +309,9 @@ def class_order_exact(
 
     Each restriction comes from the Cayley-graph presentation
     (class_order_presented) of the Sylow subgroup that sylow_subgroup grows
-    under config.  Needs |G| within config.max_enum and every Sylow
-    subgroup of order at most config.bar_cap; otherwise returns
-    Unknown(|G|).  G itself is never enumerated, since sylow_subgroup grows
+    under config; its SylowGrowthStalled propagates.  Needs |G| within
+    config.max_enum and every Sylow subgroup of order at most
+    config.bar_cap; otherwise returns Unknown(|G|).  G itself is never enumerated, since sylow_subgroup grows
     its subgroup from random elements.  The max_enum gate stays because
     the analysis status line for Unknown names it, and that line is part
     of pinned reports (soccer-doubled's); dropping the gate belongs with a

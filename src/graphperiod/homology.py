@@ -16,21 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 from .autgroup import GraphAutomorphism
-from .intlinalg import LatticeSolver, Matrix, diagonal, smith_normal_form
+from .intlinalg import LatticeSolver, Matrix, axpy, diagonal, smith_normal_form
 from .multigraph import Multigraph
 
 Chain = dict[int, int]
-
-
-def chain_add(a: Chain, b: Chain, scale: int = 1) -> Chain:
-    out = dict(a)
-    for k, x in b.items():
-        val = out.get(k, 0) + scale * x
-        if val:
-            out[k] = val
-        else:
-            out.pop(k, None)
-    return out
 
 
 def chain_action(sigma: GraphAutomorphism, chain: Chain) -> Chain:
@@ -130,7 +119,7 @@ class CycleLattice:
         out: Chain = {}
         for c, z in zip(coords, self.basis):
             if c:
-                out = chain_add(out, z, c)
+                out = axpy(out, z, c)
         return out
 
     def action_matrix(self, sigma: GraphAutomorphism) -> Matrix:
@@ -159,8 +148,8 @@ def fundamental_cycle_basis(g: Multigraph) -> CycleLattice:
     basis = []
     for k in nontree:
         t, h = g.edge_ends_idx[k]
-        cycle = chain_add({k: 1}, tree_path(g, root, t))
-        cycle = chain_add(cycle, tree_path(g, root, h), -1)
+        cycle = axpy({k: 1}, tree_path(g, root, t))
+        cycle = axpy(cycle, tree_path(g, root, h), -1)
         assert not boundary(g, cycle), "fundamental cycle must be closed"
         basis.append(cycle)
     return CycleLattice(graph=g, root=root, nontree=nontree, basis=tuple(basis))

@@ -233,7 +233,7 @@ class LatticeSolver:
                 return
             a, b = erow[pivot], row[pivot]
             if b % a == 0:
-                row = _axpy(row, erow, -(b // a))
+                row = axpy(row, erow, -(b // a))
             else:
                 # replace the echelon row by the gcd combination
                 g, x, y = _xgcd(a, b)
@@ -258,7 +258,7 @@ class LatticeSolver:
             erow = self.rows.get(pivot)
             if erow is None or row[pivot] % erow[pivot]:
                 return False
-            row = _axpy(row, erow, -(row[pivot] // erow[pivot]))
+            row = axpy(row, erow, -(row[pivot] // erow[pivot]))
         return True
 
     def least_multiple(self, vec, bound: int) -> int | NoneUpTo:
@@ -270,9 +270,8 @@ class LatticeSolver:
         return NoneUpTo(bound)
 
 
-def _axpy(a: dict[int, int], b: dict[int, int], q: int) -> dict[int, int]:
-    if q == 0:
-        return a
+def axpy(a: dict[int, int], b: dict[int, int], q: int = 1) -> dict[int, int]:
+    """a + q*b on sparse vectors, zero entries dropped."""
     out = dict(a)
     for j, x in b.items():
         val = out.get(j, 0) + q * x

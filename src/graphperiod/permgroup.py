@@ -49,6 +49,11 @@ class NotPrime(ValueError):
     pass
 
 
+class SylowGrowthStalled(Exception):
+    """sylow_subgroup's random words did not reach a full Sylow subgroup
+    within its draw budget; a longer config.max_word_length may."""
+
+
 def identity(n: int) -> Perm:
     return tuple(range(n))
 
@@ -389,16 +394,19 @@ def sylow_subgroup(
     A p-part y of a random element joins the p-subgroup P built so far when
     it is not in P and <P, y> still has p-power order; the stabilizer chain
     certifies every order, so randomness only costs draws, never
-    correctness.  Growth stops at the p-part of |G|.  Then each generator,
-    last to first, is dropped if the others generate it, which leaves an
-    irredundant generating set: class_order_presented costs grow with it.
+    correctness.  Growth stops at the p-part of |G|; when 10 000 draws do
+    not reach it, SylowGrowthStalled names the word-length budget.  Then
+    each generator, last to first, is dropped if the others generate it,
+    which leaves an irredundant generating set: class_order_presented
+    costs grow with it.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     target = p_part(group.order(), p)
     sub = PermutationGroup(group.degree, [])
     rng = Random(config.seed)
-    for _ in range(10_000):
+    draws = 10_000
+    for _ in range(draws):
         if sub.order() == target:
             break
         y = group.random_element(rng, config.max_word_length)
@@ -408,8 +416,11 @@ def sylow_subgroup(
             grown = PermutationGroup(group.degree, [*sub.generators, y])
             if p_part(grown.order(), p) == grown.order():
                 sub = grown
-    if sub.order() != target:  # pragma: no cover
-        raise RuntimeError("Sylow growth failed to converge")
+    if sub.order() != target:
+        raise SylowGrowthStalled(
+            f"Sylow {p}-subgroup growth stalled at order {sub.order()} of {target} "
+            f"({draws} words of length <= max_word_length {config.max_word_length})"
+        )
     gens = list(sub.generators)
     for i in range(len(gens) - 1, -1, -1):
         rest = gens[:i] + gens[i + 1:]

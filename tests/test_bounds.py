@@ -37,11 +37,11 @@ from graphperiod.config import Config
 from graphperiod.homology import (
     boundary,
     chain_action,
-    chain_add,
     fundamental_cycle_basis,
     norm,
     tree_path,
 )
+from graphperiod.intlinalg import axpy
 from graphperiod.multigraph import Edge, Multigraph
 from graphperiod.permgroup import cyclic_subgroups
 
@@ -258,6 +258,21 @@ class TestAnalyze:
             assert cert["direction"] in ("lower", "upper")
         rules = [ (c["rule"], c["divisor"]) for c in doc["certificates"] ]
         assert rules == sorted(rules)
+
+    @pytest.mark.parametrize("seed,word_length", [(1, 3), (3, 3), (0, 1)])
+    def test_stalled_sylow_growth_only_widens(self, seed, word_length):
+        # short words do not reach the order-16 Sylow 2-subgroup at these
+        # seeds; the report omits SylowExact and names the budget instead
+        g = catalog.builtin("doubled-cycle-g3")
+        config = Config(max_word_length=word_length, seed=seed)
+        report = analyze(g, config)
+        assert (report.period.lower, report.period.upper) == (2, 2)
+        assert all(c.rule != "SylowExact" for c in report.certificates)
+        assert report.status == [
+            "exact class order not computed: Sylow 2-subgroup growth stalled at "
+            f"order 8 of 16 (10000 words of length <= max_word_length {word_length})"
+        ]
+        assert all(verify_certificate(g, c, config) for c in report.certificates)
 
 
 class TestCertificates:
@@ -480,7 +495,7 @@ def _per_vertex_loop_summand(lattice, sigma, loop):
         for i in range(span):
             vv, k = steps[(start + i) % length]
             t, _ = g.edge_ends_idx[k]
-            segment = chain_add(segment, {k: 1 if t == vv else -1})
+            segment = axpy(segment, {k: 1 if t == vv else -1})
         if norm(sigma, m, segment) == loop:
             tiled = True
             break

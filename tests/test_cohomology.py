@@ -21,7 +21,8 @@ from graphperiod.cohomology import (
     cyclic_group_elements,
     restrict,
 )
-from graphperiod.homology import boundary, chain_action, chain_add, fundamental_cycle_basis
+from graphperiod.homology import boundary, chain_action, fundamental_cycle_basis
+from graphperiod.intlinalg import axpy
 from graphperiod.config import Config
 from graphperiod.permgroup import (
     PermutationGroup,
@@ -69,9 +70,9 @@ def test_cocycle_identity_random_triples():
             tu = t.compose(u)
             st = s.compose(t)
             lhs = chain_action(s, c.value_chain(t, u))
-            lhs = chain_add(lhs, c.value_chain(st, u), -1)
-            lhs = chain_add(lhs, c.value_chain(s, tu))
-            lhs = chain_add(lhs, c.value_chain(s, t), -1)
+            lhs = axpy(lhs, c.value_chain(st, u), -1)
+            lhs = axpy(lhs, c.value_chain(s, tu))
+            lhs = axpy(lhs, c.value_chain(s, t), -1)
             assert lhs == {}
 
 

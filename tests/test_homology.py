@@ -7,7 +7,6 @@ from graphperiod.autgroup import automorphism_generators, identity_automorphism
 from graphperiod.homology import (
     boundary,
     chain_action,
-    chain_add,
     coinvariant_primitive,
     fundamental_cycle_basis,
     invariant_functional_gcd,
@@ -15,7 +14,7 @@ from graphperiod.homology import (
     tree_path,
     verify_basis,
 )
-from graphperiod.intlinalg import det_bareiss, diagonal
+from graphperiod.intlinalg import axpy, det_bareiss, diagonal
 from graphperiod.multigraph import genus
 
 from util import relabel, transfer_automorphism, unvalidated_graph, vertex_cycle_automorphism
@@ -220,7 +219,7 @@ def test_norm_is_invariant_and_sums_translates():
             explicit: dict[int, int] = {}
             power = identity_automorphism(g)
             for _ in range(m):
-                explicit = chain_add(explicit, chain_action(power, chain))
+                explicit = axpy(explicit, chain_action(power, chain))
                 power = sigma.compose(power)
             assert total == explicit
 
@@ -344,7 +343,7 @@ def test_coordinates_rejects_an_extra_tree_edge():
     L = fundamental_cycle_basis(g)
     z = L.basis[0]
     tree_edge = min(set(range(len(g.edges))) - set(L.nontree) - set(z))
-    chain = chain_add(z, {tree_edge: 1})
+    chain = axpy(z, {tree_edge: 1})
     assert [chain.get(e, 0) for e in L.nontree] == L.coordinates(z)
     with pytest.raises(ValueError):
         L.coordinates(chain)
@@ -354,7 +353,7 @@ def _explicit_norm(sigma, m, chain):
     """N . chain as the sum of the m translates sigma^i . chain."""
     total: dict[int, int] = {}
     for _ in range(m):
-        total = chain_add(total, chain)
+        total = axpy(total, chain)
         chain = chain_action(sigma, chain)
     return total
 

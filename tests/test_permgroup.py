@@ -9,6 +9,7 @@ from graphperiod.config import Config
 from graphperiod.permgroup import (
     NotPrime,
     PermutationGroup,
+    SylowGrowthStalled,
     _ChainLevel,
     _factor,
     cyclic_subgroups,
@@ -139,6 +140,13 @@ def test_sylow_growth_draws_words_of_the_configured_length(aut_k5, monkeypatch):
 def test_sylow_not_prime(aut_k5):
     with pytest.raises(NotPrime):
         sylow_subgroup(aut_k5, 6)
+
+
+def test_stalled_sylow_growth_raises_a_named_exception():
+    group = automorphism_group(catalog.builtin("doubled-cycle-g3"))
+    with pytest.raises(SylowGrowthStalled, match="max_word_length 3"):
+        sylow_subgroup(group, 2, Config(max_word_length=3, seed=1))
+    assert sylow_subgroup(group, 2, Config(max_word_length=3, seed=0)).order() == 16
 
 
 def test_sylow_above_the_enumeration_cap(aut_soccer):

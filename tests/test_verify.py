@@ -45,6 +45,12 @@ def perturb(g, value):
     raise AssertionError(f"unexpected witness value {value!r}")
 
 
+def test_tamper_graphs_carry_every_rule(reports):
+    # the tamper tests below reach a rule only through these reports
+    rules = {c.rule for _, report in reports.values() for c in report.certificates}
+    assert rules == set(RULES)
+
+
 def cert_of(report, rule, predicate=lambda c: True) -> Certificate:
     return next(c for c in report.certificates if c.rule == rule and predicate(c))
 
@@ -109,7 +115,7 @@ def test_orbit_union_indices_must_be_in_range(reports):
     g, report = reports["k5"]
     cert = cert_of(report, "OrbitSubgraph", lambda c: c.witness["kind"] == "orbit-union-edges")
     assert cert.witness["orbits"] == [0]
-    for orbits in ([-1], [1], [True], [0.0], "0"):
+    for orbits in ([-1], [1], [], [True], [0.0], "0"):
         assert not verify_certificate(g, with_witness(cert, {**cert.witness, "orbits": orbits}))
 
 
