@@ -12,7 +12,10 @@ is closed, hence lands in the cycle lattice M, and is a normalized
 The order of its class in H^2 restricted to a subgroup H is the least n
 with n*c a coboundary; for cyclic H = <s> of order m there is a closed
 form: H^2(<s>, M) = M^s / N M with N = 1 + s + ... + s^(m-1), and the
-class corresponds to the invariant cycle N . P_s.
+class corresponds to the invariant cycle N . P_s.  class_order_cyclic
+solves it in s's edge-cycle coordinates, one coefficient per orbit sum of
+a sign-preserving edge cycle, since those orbit sums have disjoint
+supports and span every N . z.
 
 For any other finite H = <X> (a Sylow subgroup, in class_order_exact) the
 order comes from a presentation of H, after Fox's free differential
@@ -43,7 +46,14 @@ from dataclasses import dataclass
 
 from .autgroup import GraphAutomorphism, from_combined, identity_automorphism
 from .config import Config
-from .homology import Chain, CycleLattice, chain_action, norm, tree_path
+from .homology import (
+    Chain,
+    CycleLattice,
+    chain_action,
+    norm,
+    orbit_sum_coefficients,
+    tree_path,
+)
 from .intlinalg import LatticeSolver, Matrix, NoneUpTo, axpy, matmul, matvec
 from .permgroup import Perm, PermutationGroup, _factor, mul, sylow_subgroup
 
@@ -182,18 +192,30 @@ def class_order_bar(table: CocycleTable) -> int:
 def class_order_cyclic(cocycle: PathCocycle, sigma: GraphAutomorphism) -> int:
     """Order of the class restricted to <sigma>, by the closed form
     H^2(<sigma>, M) = M^sigma / N M: the least n with n * (N . P_sigma) in
-    N M, where N = sum of the powers of the action."""
+    N M, where N = sum of the powers of the action.
+
+    The solve runs in sigma's edge-cycle coordinates.  Every orbit sum is
+    a combination of the orbit sums S_C of sigma's sign-preserving edge
+    cycles (orbit_sum_coefficients), and the S_C have disjoint supports, so
+    n * (N . P_sigma) lies in N M = span{N . z : z in the basis} exactly
+    when its coefficient vector lies in the span of theirs.  N . P_sigma
+    goes through lattice.coordinates once, which checks that it is a cycle
+    and tests it for zero.  The N . z need no such check: every basis
+    cycle z was checked closed when the basis was built, sigma preserves
+    incidence (GraphAutomorphism checks it on construction), so
+    boundary(N . z) = N . boundary(z) = 0."""
     m = sigma.order()
     if m == 1:
         return 1
     lattice = cocycle.lattice
-    target = lattice.coordinates(norm(sigma, m, cocycle.path_chain(sigma)))
+    path = cocycle.path_chain(sigma)
+    target = lattice.coordinates(norm(sigma, m, path))
     if all(x == 0 for x in target):
         return 1
-    solver = LatticeSolver(lattice.rank)
+    solver = LatticeSolver(len(lattice.graph.edges))
     for z in lattice.basis:
-        solver.add_generator(lattice.coordinates(norm(sigma, m, z)))
-    n = solver.least_multiple(target, m)
+        solver.add_generator(orbit_sum_coefficients(sigma, m, z))
+    n = solver.least_multiple(orbit_sum_coefficients(sigma, m, path), m)
     if isinstance(n, NoneUpTo):  # pragma: no cover - annihilation bound
         raise AssertionError("restricted class order exceeded |<sigma>|")
     return n

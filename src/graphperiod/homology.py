@@ -34,30 +34,42 @@ def chain_action(sigma: GraphAutomorphism, chain: Chain) -> Chain:
     return out
 
 
-def norm(sigma: GraphAutomorphism, m: int, chain: Chain) -> Chain:
+def orbit_sum_coefficients(sigma: GraphAutomorphism, m: int, chain: Chain) -> dict[int, int]:
     """The orbit sum N . chain with N = 1 + sigma + ... + sigma^(m-1),
-    where m is the order of sigma, in closed form per edge cycle.
+    where m is the order of sigma, in sigma's edge-cycle coordinates: for
+    every sign-preserving edge cycle C (keyed by its least edge k0), the
+    coefficient of S_C in N . chain.  Zero coefficients are dropped.
 
     Follow sigma's signed edge permutation around the cycle of e_k, of
     length L and sign product eps (sigma^L e_k = eps e_k).  With S_k =
     e_k + sigma e_k + ... + sigma^(L-1) e_k, N . e_k = (m/L) S_k when eps
     = +1, and 0 when eps = -1 (then m/L is even and the m/L copies of S_k
     cancel in pairs).  The edges of one cycle have S_k = +-S_k0, so the
-    chain's coefficients are first summed per cycle (see
-    GraphAutomorphism.signed_edge_cycles).  Zero entries are dropped."""
+    coefficient of S_C is (m/L) times the chain's coefficients summed over
+    C with those signs (see GraphAutomorphism.signed_edge_cycles)."""
     cycles = sigma.signed_edge_cycles
     per_cycle: dict[int, int] = {}
     for k, x in chain.items():
-        k0, c, length, _ = cycles[k]
-        assert m % length == 0, "the edge cycle length must divide m"
+        k0, c, _, _ = cycles[k]
         per_cycle[k0] = per_cycle.get(k0, 0) + c * x
-    total: Chain = {}
+    out: dict[int, int] = {}
     for k0, x in per_cycle.items():
-        if x:
-            _, _, length, cycle = cycles[k0]
-            scale = m // length * x
-            for k, c in cycle:
-                total[k] = scale * c
+        _, _, length, cycle = cycles[k0]
+        if m % length:
+            raise AssertionError("the edge cycle length must divide m")
+        if x and cycle:
+            out[k0] = m // length * x
+    return out
+
+
+def norm(sigma: GraphAutomorphism, m: int, chain: Chain) -> Chain:
+    """The orbit sum N . chain as a chain: orbit_sum_coefficients expanded
+    over the edges of each S_C."""
+    cycles = sigma.signed_edge_cycles
+    total: Chain = {}
+    for k0, x in orbit_sum_coefficients(sigma, m, chain).items():
+        for k, c in cycles[k0][3]:
+            total[k] = x * c
     return total
 
 
@@ -150,7 +162,8 @@ def fundamental_cycle_basis(g: Multigraph) -> CycleLattice:
         t, h = g.edge_ends_idx[k]
         cycle = axpy({k: 1}, tree_path(g, root, t))
         cycle = axpy(cycle, tree_path(g, root, h), -1)
-        assert not boundary(g, cycle), "fundamental cycle must be closed"
+        if boundary(g, cycle):
+            raise AssertionError("fundamental cycle must be closed")
         basis.append(cycle)
     return CycleLattice(graph=g, root=root, nontree=nontree, basis=tuple(basis))
 

@@ -267,23 +267,31 @@ class PermutationGroup:
                         out.append(q)
                         nxt.append(q)
             frontier = nxt
-        assert len(out) == self.order(), "enumeration disagrees with stabilizer chain"
+        if len(out) != self.order():
+            raise AssertionError("enumeration disagrees with stabilizer chain")
         return out
 
     @cached_property
-    def _generators_and_inverses(self) -> tuple[tuple[Perm, Perm], ...]:
-        return tuple((g, inverse(g)) for g in self.generators)
+    def _generators_and_inverses(self) -> tuple[_Codec, tuple[tuple, ...]]:
+        """The codec of this degree and the (table(g), table(g^-1)) pair of
+        every generator g, for random_element."""
+        codec = _Codec(self.degree)
+        return codec, tuple((codec.table(g), codec.table(inverse(g))) for g in self.generators)
 
     def random_element(self, rng: Random, word_length: int) -> Perm:
+        """A word of 1 to word_length generators or inverses, multiplied
+        on the left in drawing order.  The product runs on keys (see the
+        module docstring) and is decoded once."""
         if not self.generators:
             return identity(self.degree)
-        p = identity(self.degree)
+        codec, tables = self._generators_and_inverses
+        p = codec.encode(identity(self.degree))
         for _ in range(rng.randint(1, word_length)):
-            g, g_inv = rng.choice(self._generators_and_inverses)
+            g, g_inv = rng.choice(tables)
             if rng.random() < 0.5:
                 g = g_inv
-            p = mul(g, p)
-        return p
+            p = codec.apply(p)(g)
+        return tuple(p)
 
 
 def cyclic_subgroups(

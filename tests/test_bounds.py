@@ -41,9 +41,9 @@ from graphperiod.homology import (
     norm,
     tree_path,
 )
-from graphperiod.intlinalg import axpy
+from graphperiod.intlinalg import LatticeSolver, axpy
 from graphperiod.multigraph import Edge, Multigraph
-from graphperiod.permgroup import cyclic_subgroups
+from graphperiod.permgroup import cyclic_subgroups, orbits
 
 from util import vertex_cycle_automorphism
 
@@ -430,6 +430,94 @@ def test_skipped_loop_searches_could_not_certify(name, monkeypatch):
             verdict = period_lower_loop_summand(lattice, sigma, loop)
             assert isinstance(verdict, NotApplicable), (sigma.to_json_dict(), loop)
     assert skipped > 0
+
+
+def _per_edge_norm(sigma, m, chain):
+    """norm as it was before orbit_sum_coefficients: the per-cycle sums
+    expanded edge by edge in the same pass."""
+    cycles = sigma.signed_edge_cycles
+    per_cycle = {}
+    for k, x in chain.items():
+        k0, c, length, _ = cycles[k]
+        assert m % length == 0
+        per_cycle[k0] = per_cycle.get(k0, 0) + c * x
+    total = {}
+    for k0, x in per_cycle.items():
+        if x:
+            _, _, length, cycle = cycles[k0]
+            for k, c in cycle:
+                total[k] = m // length * x * c
+    return total
+
+
+def _chain_class_order_cyclic(cocycle, sigma):
+    """class_order_cyclic as it was before the solve moved to sigma's
+    edge-cycle coordinates: every orbit sum N . z built as a chain, checked
+    through lattice.coordinates, and eliminated in basis coordinates."""
+    m = sigma.order()
+    if m == 1:
+        return 1
+    lattice = cocycle.lattice
+    target = lattice.coordinates(_per_edge_norm(sigma, m, cocycle.path_chain(sigma)))
+    if all(x == 0 for x in target):
+        return 1
+    solver = LatticeSolver(lattice.rank)
+    for z in lattice.basis:
+        solver.add_generator(lattice.coordinates(_per_edge_norm(sigma, m, z)))
+    return solver.least_multiple(target, m)
+
+
+def _check_against_the_chain_route(lattice, sigmas):
+    """class_order_cyclic equals the chain route on every sigma, and norm
+    equals the per-edge norm on every basis cycle and on every tree path
+    the loop scan sums over translates; returns how many sigma reverse the
+    sign of some edge cycle."""
+    g = lattice.graph
+    cocycle = PathCocycle(lattice)
+    nv = len(g.vertices)
+    reversing = 0
+    for sigma in sigmas:
+        assert class_order_cyclic(cocycle, sigma) == _chain_class_order_cyclic(cocycle, sigma), (
+            sigma.to_json_dict()
+        )
+        m = sigma.order()
+        moved = [v for v in range(nv) if sigma.vperm[v] != v]
+        paths = [tree_path(g, o[0], sigma.vperm[o[0]]) for o in orbits(nv, [sigma.vperm], moved)]
+        for chain in [*lattice.basis, *paths, cocycle.path_chain(sigma)]:
+            assert norm(sigma, m, chain) == _per_edge_norm(sigma, m, chain)
+        reversing += any(not cycle for _, _, _, cycle in sigma.signed_edge_cycles)
+    return reversing
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_cyclic_restriction_matches_the_chain_route_on_the_scan(name, monkeypatch):
+    """Every restriction the scan computes at Config() (hybrid's first
+    SCAN_LIMIT) is the one the chain route computes; soccer-doubled's
+    include sigma with a sign-reversed edge cycle, whose orbit sum is 0."""
+    g = catalog.builtin(name)
+    _, processed, computed = _replay_scan(g, monkeypatch)
+    sigmas = [sigma for sigma in processed if sigma.combined in computed]
+    assert len(sigmas) == len(computed)
+    if name == "soccer-doubled":
+        assert len(sigmas) == 181
+    reversing = _check_against_the_chain_route(fundamental_cycle_basis(g), sigmas[:_limit(g)])
+    if name == "soccer-doubled":
+        assert reversing > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cyclic_restriction_matches_the_chain_route_on_random_graphs(seed):
+    """The same comparison on 20 random automorphisms of each of 5 random
+    multigraphs."""
+    rng = Random(seed)
+    compared = 0
+    for _ in range(5):
+        g = oracle.random_multigraph(rng)
+        sigmas = [oracle.random_automorphism(g, rng) for _ in range(20)]
+        sigmas = [sigma for sigma in sigmas if sigma is not None]
+        _check_against_the_chain_route(fundamental_cycle_basis(g), sigmas)
+        compared += len(sigmas)
+    assert compared > 0
 
 
 def _early_stopping_path(g, start, goal):

@@ -146,6 +146,36 @@ def test_internal_assertion_exits_4_not_2(monkeypatch, capsys):
 
 
 
+def test_an_open_fundamental_cycle_exits_4(monkeypatch, capsys):
+    # a wrong tree path leaves a basis cycle open; the check that catches it
+    # raises, so it also holds under python -O
+    from graphperiod import homology
+
+    monkeypatch.setattr(homology, "tree_path", lambda g, start, goal: {})
+    code = main(["analyze", "--builtin", "k5"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "fundamental cycle must be closed" in err
+
+
+def test_no_check_in_the_library_is_an_assert_statement():
+    """python -O strips assert statements, so every internal check in the
+    library raises AssertionError explicitly."""
+    import ast
+    from pathlib import Path
+
+    import graphperiod
+
+    package = Path(graphperiod.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_other_analysis_exception_exits_2(monkeypatch, capsys):
     from graphperiod import cli
 

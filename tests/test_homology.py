@@ -11,6 +11,7 @@ from graphperiod.homology import (
     fundamental_cycle_basis,
     invariant_functional_gcd,
     norm,
+    orbit_sum_coefficients,
     tree_path,
     verify_basis,
 )
@@ -394,3 +395,29 @@ def test_closed_form_norm_matches_explicit_translates():
             for chain in chains:
                 assert norm(sigma, m, chain) == _explicit_norm(sigma, m, chain)
     assert reversing > 0
+
+
+def test_orbit_sum_rejects_an_edge_cycle_longer_than_m():
+    g = catalog.builtin("k5")
+    sigma = vertex_cycle_automorphism(g, ["v1", "v2", "v3", "v4", "v5"])
+    assert sigma.order() == 5
+    assert orbit_sum_coefficients(sigma, 5, {0: 1})
+    with pytest.raises(AssertionError, match="edge cycle length must divide m"):
+        orbit_sum_coefficients(sigma, 4, {0: 1})
+
+
+def test_orbit_sum_coefficients_expand_to_norm():
+    """norm is orbit_sum_coefficients expanded over each cycle's S_C: one
+    key per sign-preserving cycle, no zeros, and each coefficient read back
+    at the cycle's least edge."""
+    g = catalog.builtin("doubled-k4")
+    rng = Random(3)
+    for sigma in automorphism_generators(g):
+        m = sigma.order()
+        cycles = sigma.signed_edge_cycles
+        chain = {k: rng.choice([-1, 1, 2]) for k in range(len(g.edges))}
+        coefficients = orbit_sum_coefficients(sigma, m, chain)
+        total = norm(sigma, m, chain)
+        assert all(x and cycles[k0][0] == k0 and cycles[k0][3] for k0, x in coefficients.items())
+        assert {k0: total.get(k0) for k0 in coefficients} == coefficients
+        assert set(total) == {k for k0 in coefficients for k, _ in cycles[k0][3]}

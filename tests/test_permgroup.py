@@ -514,3 +514,38 @@ def test_random_words_unchanged_by_the_inverse_cache(aut_soccer, seed):
         assert aut_soccer.random_element(new_rng, Config.max_word_length) == (
             _unsifted_random_element(aut_soccer, old_rng, Config.max_word_length)
         )
+
+
+def _tuple_random_element(group, rng, word_length):
+    """random_element as it was before words were multiplied on keys."""
+    if not group.generators:
+        return identity(group.degree)
+    return _unsifted_random_element(group, rng, word_length)
+
+
+# degree 300 is past the byte codec: a dihedral group of order 600, and the
+# trivial group given no generators
+_ROTATION = tuple((i + 1) % 300 for i in range(300))
+_REFLECTION = tuple(-i % 300 for i in range(300))
+
+
+@pytest.mark.parametrize(
+    "generators", [[_ROTATION, _REFLECTION], []], ids=["dihedral-300", "no-generators"]
+)
+def test_random_words_unchanged_on_the_tuple_codec(generators):
+    group = PermutationGroup(300, generators)
+    assert group.order() == (600 if generators else 1)
+    for seed in range(3):
+        new_rng, old_rng = Random(seed), Random(seed)
+        for _ in range(100):
+            assert group.random_element(new_rng, Config.max_word_length) == (
+                _tuple_random_element(group, old_rng, Config.max_word_length)
+            )
+        assert new_rng.getstate() == old_rng.getstate()
+
+
+def test_element_enumeration_checks_its_count(aut_k5, monkeypatch):
+    group = PermutationGroup(aut_k5.degree, list(aut_k5.generators))
+    monkeypatch.setattr(group, "order", lambda: 119)
+    with pytest.raises(AssertionError, match="enumeration disagrees with stabilizer chain"):
+        group.enumerate_elements()

@@ -54,6 +54,23 @@ BAR_CAP_256_REPORT_SHA256 = {
     "doubled-k4": "e297737c54df6976aaaba26a15f396df06cf5fb8c03fcce4c853579d33029e6c",
 }
 
+# Config(bar_cap=256) for the other six builtins at the default seed, and
+# for soccer-doubled at seeds 1-3, so that every builtin is pinned at both
+# caps.  The first four hash as their default reports (no Sylow subgroup
+# above 32); hybrid's invariant subgraph sub-0 then gets its exact order,
+# and the status lines name cap 256.  No SylowExact is asserted: hybrid
+# and soccer-doubled get none.
+BAR_CAP_256_OTHER_REPORT_SHA256 = {
+    ("doubled-cycle-g3", 0): "2939007f6335de56a77b35283d558764ee886a545ed3b0b8e759c7b605c88bb8",
+    ("doubled-cycle-g4", 0): "29d48f9f09d842d9ba6e79af90ec9f61580d01a2ae3ab52a8f5a8924cc852ef6",
+    ("k34", 0): "249d3b478215f2f2a5f1c845826a8a1bdc6ece42021bfc85db0124d1bd09b3b0",
+    ("k5", 0): "4287c61d139d97ddd9557d0c56a861e44dffc64b85564fbb9c30ababbc498117",
+    ("hybrid", 0): "3e576c02d9b85205ff9c072ea56f19c4bf3552615ef422e673dd09770a862a13",
+    ("soccer-doubled", 0): "46399dcd569a24b669ed1b49bf225babbf05a4ee3c81f5ca449787cc77ed0a71",
+    ("soccer-doubled", 1): "62b10cbe53073bb12dc73188cfdb752ce0e23d18703edccf1cbad48ab26c56ec",
+    ("soccer-doubled", 2): "b97d207d0030f627889178a2342773f09a97cdc6d6c09901cbbb94186fd21ccb",
+    ("soccer-doubled", 3): "3eb36324890526a3b1fc89f36cad556bc537380ee079695658ee8a248a177ddb",
+}
 
 @pytest.fixture(scope="module", params=sorted(REPORT_SHA256))
 def analyzed(request):
@@ -89,4 +106,14 @@ def test_bar_cap_256_report_hash(name):
     assert any(c.rule == "SylowExact" for c in report.certificates)
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == BAR_CAP_256_REPORT_SHA256[name]
+    assert all(verify_certificate(g, c, config) for c in report.certificates)
+
+
+@pytest.mark.parametrize("name,seed", sorted(BAR_CAP_256_OTHER_REPORT_SHA256))
+def test_bar_cap_256_other_report_hash(name, seed):
+    g = catalog.builtin(name)
+    config = Config(seed=seed, bar_cap=256)
+    report = analyze(g, config)
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == BAR_CAP_256_OTHER_REPORT_SHA256[(name, seed)]
     assert all(verify_certificate(g, c, config) for c in report.certificates)
