@@ -18,7 +18,7 @@ from collections import Counter
 
 from graphperiod.autgroup import automorphism_group, from_combined
 from graphperiod.catalog import builtin
-from graphperiod.cohomology import PathCocycle, class_order_cyclic
+from graphperiod.cohomology import class_order_cyclic
 from graphperiod.config import Config
 from graphperiod.homology import fundamental_cycle_basis
 from graphperiod.permgroup import cyclic_subgroups
@@ -34,7 +34,6 @@ def main() -> int:
     graph = builtin("soccer-doubled")
     group = automorphism_group(graph)
     lattice = fundamental_cycle_basis(graph)
-    cocycle = PathCocycle(lattice)
 
     config = Config(
         seed=args.seed, word_budget=args.words, max_word_length=16, max_subgroups=args.subgroups
@@ -45,7 +44,7 @@ def main() -> int:
     lower = 1
     for perm, order in pairs:
         sigma = from_combined(graph, perm)
-        n = class_order_cyclic(cocycle, sigma)
+        n = class_order_cyclic(lattice, sigma)
         table[(order, n)] += 1
         lower = math.lcm(lower, n)
     print("element order -> restriction orders seen (count):")

@@ -5,7 +5,6 @@ of a totally degenerate stable curve."""
 from .bounds import BoundsReport, analyze, period_lower_loop_summand, verify_certificate
 from .catalog import BUILTIN_NAMES, builtin
 from .cohomology import (
-    PathCocycle,
     class_order_bar,
     class_order_cyclic,
     class_order_exact,
@@ -22,7 +21,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "Config",
     "Multigraph",
-    "PathCocycle",
     "analyze",
     "builtin",
     "class_order_bar",

@@ -24,12 +24,12 @@ from .autgroup import (
     from_combined,
     from_json_dict,
 )
-from .cohomology import PathCocycle, Unknown
+from .cohomology import Unknown
 from .config import Config
 from .homology import Chain, CycleLattice, boundary, chain_action, norm, tree_path
 from .intlinalg import axpy
 from .multigraph import GraphError, Multigraph, genus
-from .permgroup import PermutationGroup, SylowGrowthStalled, cyclic_subgroups, orbits
+from .permgroup import SylowGrowthStalled, cyclic_subgroups, orbits
 
 # Every certificate rule, with the targets it bounds and its direction.
 RULES = {
@@ -77,12 +77,6 @@ class DivisorInterval:
     def add_upper(self, d: int):
         self.upper = math.gcd(self.upper, d)
 
-    def check(self, what: str):
-        if self.upper and self.upper % self.lower:
-            raise SoundnessError(
-                f"{what}: lower bound {self.lower} does not divide upper {self.upper}"
-            )
-
     def to_json_dict(self) -> dict:
         return {
             "lower": _json_int(self.lower),
@@ -119,13 +113,21 @@ class Certificate:
 
 @dataclass
 class BoundsReport:
+    """One graph's analysis; its intervals are derived from its certificates."""
+
     graph: Multigraph
     genus: int
     aut_order: int
-    period: DivisorInterval
-    index: DivisorInterval
     certificates: list[Certificate]
     status: list[str] = field(default_factory=list)
+
+    @property
+    def period(self) -> DivisorInterval:
+        return intervals_from_certificates(self.certificates)[0]
+
+    @property
+    def index(self) -> DivisorInterval:
+        return intervals_from_certificates(self.certificates)[1]
 
     def to_json_dict(self) -> dict:
         certs = sorted(self.certificates, key=lambda c: (c.rule, c.divisor))
@@ -218,15 +220,16 @@ def period_lower_loop_summand(
     generates a direct summand of the lattice as a module over <sigma>.
 
     Every step is read off the walk _loop_steps makes.  A walk that closes
-    after using every edge once has zero boundary, so the boundary is
-    computed only when the walk fails, to tell a chain that is not closed
-    (NotAClosedChain) from a cycle that is not simple.  Once sigma fixes
-    the loop, it maps each step v -> w to the step sigma(v) -> sigma(w) of
-    the same walk, so it shifts every step by one constant span, the
-    position of sigma(v) for the walk's first vertex v.  The m = |sigma|
-    translates of the segment from v to sigma(v) then cover the loop
-    exactly once, that is N . segment == loop, iff span * m is the loop's
-    length; any other vertex as v gives the same span."""
+    after using every edge once has zero boundary, so the walk needs no
+    boundary; it is computed when the walk fails, to tell a chain that is
+    not closed (NotAClosedChain) from a cycle that is not simple, and again
+    by lattice.coordinates for a loop that reaches the summand test.  Once
+    sigma fixes the loop, it maps each step v -> w to the step sigma(v) ->
+    sigma(w) of the same walk, so it shifts every step by one constant
+    span, the position of sigma(v) for the walk's first vertex v.  The
+    m = |sigma| translates of the segment from v to sigma(v) then cover the
+    loop exactly once, that is N . segment == loop, iff span * m is the
+    loop's length; any other vertex as v gives the same span."""
     g = lattice.graph
     steps = _loop_steps(g, loop)
     if steps is None:
@@ -250,13 +253,15 @@ def period_lower_loop_summand(
 # --- orbit-based index divisors --------------------------------------------
 
 
-def _edge_orbits(g: Multigraph, group: PermutationGroup) -> list[list[int]]:
+def _edge_orbits(g: Multigraph) -> list[list[int]]:
+    group = automorphism_group(g)
     nv = len(g.vertices)
     raw = orbits(group.degree, list(group.generators), list(range(nv, group.degree)))
     return [[k - nv for k in orbit] for orbit in raw]
 
 
-def _vertex_orbits(g: Multigraph, group: PermutationGroup) -> list[list[int]]:
+def _vertex_orbits(g: Multigraph) -> list[list[int]]:
+    group = automorphism_group(g)
     return orbits(group.degree, list(group.generators), list(range(len(g.vertices))))
 
 
@@ -333,15 +338,15 @@ def _orbit_union_certs(g: Multigraph, combo, edges: list[int]) -> list[Certifica
 
 
 def index_upper_divisors(
-    g: Multigraph, group: PermutationGroup, config: Config = Config()
+    g: Multigraph, config: Config = Config()
 ) -> tuple[list[Certificate], list[str]]:
     """Certified divisors of the index: g-1, each edge-orbit size, twice
     each vertex-orbit size, and edge count / twice vertex count of every
     union of edge orbits (an invariant subgraph), enumerated while
     2^#orbits stays within config.union_cap.  Orbit certificates are kept
     once per (kind, divisor)."""
-    eorbits = _edge_orbits(g, group)
-    candidates = _orbit_certs(g, eorbits, _vertex_orbits(g, group))
+    eorbits = _edge_orbits(g)
+    candidates = _orbit_certs(g, eorbits, _vertex_orbits(g))
     status = []
     unions = _orbit_unions(eorbits, config.union_cap)
     if unions is None:
@@ -359,15 +364,13 @@ def index_upper_divisors(
 # --- invariant subgraphs -----------------------------------------------------
 
 
-def invariant_subgraphs(
-    g: Multigraph, group: PermutationGroup, config: Config = Config()
-) -> list[Multigraph]:
+def invariant_subgraphs(g: Multigraph, config: Config = Config()) -> list[Multigraph]:
     """Proper invariant subgraphs (unions of edge orbits with their incident
     vertices) that are connected and keep every vertex at degree >= 4, the
     shape required for propagating bounds from a subgraph; none when the
     orbit unions exceed config.union_cap."""
     out = []
-    for combo, edges in _orbit_unions(_edge_orbits(g, group), config.union_cap) or []:
+    for combo, edges in _orbit_unions(_edge_orbits(g), config.union_cap) or []:
         if len(edges) == len(g.edges):
             continue
         edges = sorted(edges)
@@ -397,16 +400,14 @@ def _subgraph_config(config: Config) -> Config:
     return replace(config, subgraph_depth=max(config.subgraph_depth - 1, 0))
 
 
-def propagate_subgraph(
-    g: Multigraph, group: PermutationGroup, config: Config
-) -> tuple[list[Certificate], list[str]]:
+def propagate_subgraph(g: Multigraph, config: Config) -> tuple[list[Certificate], list[str]]:
     """Analyze every admissible invariant subgraph standalone; the ambient
     class is the image of the subgraph's class, so the ambient period and
     index divide the subgraph's established upper bounds."""
     certs = []
     status = []
     sub_config = _subgraph_config(config)
-    for sub in invariant_subgraphs(g, group, config):
+    for sub in invariant_subgraphs(g, config):
         report = analyze(sub, sub_config)
         for target, interval in (("period", report.period), ("index", report.index)):
             if interval.upper:
@@ -447,13 +448,7 @@ def _scan_loops_for_sigma(lattice: CycleLattice, sigma: GraphAutomorphism, m: in
 
 
 def _cyclic_scan(
-    g: Multigraph,
-    lattice: CycleLattice,
-    cocycle: PathCocycle,
-    group: PermutationGroup,
-    config: Config,
-    certs: list[Certificate],
-    status: list[str],
+    lattice: CycleLattice, config: Config, certs: list[Certificate], status: list[str]
 ):
     """Walk cyclic subgroups (largest order first), collecting cyclic
     restriction orders and loop-summand certificates.  After scan_quota
@@ -477,7 +472,8 @@ def _cyclic_scan(
     P - s - q + sigma(q), so it lies in N.M, and the restricted order n,
     the least n with n.(N.P) in N.M, has n.L = N.y for some y in M.  So
     n = phi(N.y) = m.phi(y), m | n, and n | m."""
-    pairs, complete = cyclic_subgroups(group, config)
+    g = lattice.graph
+    pairs, complete = cyclic_subgroups(automorphism_group(g), config)
     if not complete:
         status.append(
             "cyclic-subgroup scan incomplete: |Aut| exceeds the enumeration cap; "
@@ -506,7 +502,7 @@ def _cyclic_scan(
             ("CyclicRestriction", d) in seen for d in range(2, order + 1) if order % d == 0
         )
         if not held:
-            n = cohomology.class_order_cyclic(cocycle, sigma)
+            n = cohomology.class_order_cyclic(lattice, sigma)
             if n > 1:
                 push(_cyclic_cert(sigma, order, n))
             if n != order:
@@ -548,26 +544,23 @@ def analyze(g: Multigraph, config: Config = Config()) -> BoundsReport:
     loop-summand scan.  Always returns a report; caps only widen the
     interval and leave a status note.  Both intervals are the ones the
     certificates prove (intervals_from_certificates)."""
-    gen = genus(g)
-    group = automorphism_group(g)
-    aut_order = group.order()
+    aut_order = automorphism_group(g).order()
     lattice = homology.fundamental_cycle_basis(g)
-    cocycle = PathCocycle(lattice)
 
     certs = [_aut_order_cert(aut_order)]
     status: list[str] = []
 
-    orbit_certs, orbit_status = index_upper_divisors(g, group, config)
+    orbit_certs, orbit_status = index_upper_divisors(g, config)
     certs.extend(orbit_certs)
     status.extend(orbit_status)
 
     if config.subgraph_depth > 0:
-        sub_certs, sub_status = propagate_subgraph(g, group, config)
+        sub_certs, sub_status = propagate_subgraph(g, config)
         certs.extend(sub_certs)
         status.extend(sub_status)
 
     try:
-        exact = cohomology.class_order_exact(cocycle, group, config)
+        exact = cohomology.class_order_exact(lattice, config)
     except SylowGrowthStalled as stalled:
         status.append(f"exact class order not computed: {stalled}")
     else:
@@ -580,23 +573,11 @@ def analyze(g: Multigraph, config: Config = Config()) -> BoundsReport:
         else:
             certs.append(_sylow_cert(*exact))
 
-    _cyclic_scan(g, lattice, cocycle, group, config, certs, status)
+    _cyclic_scan(lattice, config, certs, status)
 
     certs.append(_period_lower_cert(intervals_from_certificates(certs)[0].lower))
-
-    period, index = intervals_from_certificates(certs)
-    period.check("period")
-    index.check("index")
-    if period.upper and index.upper and index.upper % period.lower:
-        raise SoundnessError("period lower bound does not divide index upper bound")
     return BoundsReport(
-        graph=g,
-        genus=gen,
-        aut_order=aut_order,
-        period=period,
-        index=index,
-        certificates=certs,
-        status=status,
+        graph=g, genus=genus(g), aut_order=aut_order, certificates=certs, status=status
     )
 
 
@@ -608,7 +589,9 @@ def intervals_from_certificates(
     Each certificate bounds its target in its direction.  SylowExact is the
     exact class order, so it also bounds the period from above.  Then the
     period divides the index: the period takes the index's upper bound and
-    the index takes the period's lower bound."""
+    the index takes the period's lower bound.  A lower bound that does not
+    divide its upper bound raises SoundnessError; as period.lower divides
+    index.lower, that covers period.lower | index.upper too."""
     period, index = DivisorInterval(), DivisorInterval()
     for cert in certs:
         interval = period if cert.target == "period" else index
@@ -620,6 +603,11 @@ def intervals_from_certificates(
             period.add_upper(cert.divisor)
     period.add_upper(index.upper)
     index.add_lower(period.lower)
+    for what, interval in (("period", period), ("index", index)):
+        if interval.upper % interval.lower:
+            raise SoundnessError(
+                f"{what}: lower bound {interval.lower} does not divide upper {interval.upper}"
+            )
     return period, index
 
 
@@ -686,10 +674,9 @@ def _rebuild(g: Multigraph, cert: Certificate, config: Config) -> list[Certifica
     if rule == "PeriodDividesIndex":
         return [_period_lower_cert(cert.divisor)]
     if rule == "OrbitSubgraph":
-        group = automorphism_group(g)
-        eorbits = _edge_orbits(g, group)
+        eorbits = _edge_orbits(g)
         if w.get("kind") not in ("orbit-union-edges", "orbit-union-vertices"):
-            return _orbit_certs(g, eorbits, _vertex_orbits(g, group))
+            return _orbit_certs(g, eorbits, _vertex_orbits(g))
         combo = w.get("orbits")
         if not (
             isinstance(combo, list)
@@ -700,14 +687,13 @@ def _rebuild(g: Multigraph, cert: Certificate, config: Config) -> list[Certifica
             return []
         return _orbit_union_certs(g, combo, _union_edges(eorbits, combo))
     if rule == "SylowExact":
-        cocycle = PathCocycle(homology.fundamental_cycle_basis(g))
         try:
-            exact = cohomology.class_order_exact(cocycle, automorphism_group(g), config)
+            exact = cohomology.class_order_exact(homology.fundamental_cycle_basis(g), config)
         except SylowGrowthStalled:
             return []
         return [] if isinstance(exact, Unknown) else [_sylow_cert(*exact)]
     if rule == "SubgraphPropagation":
-        for sub in invariant_subgraphs(g, automorphism_group(g), config):
+        for sub in invariant_subgraphs(g, config):
             if sub.name == w.get("subgraph"):
                 report = analyze(sub, _subgraph_config(config))
                 upper = (report.period if cert.target == "period" else report.index).upper
@@ -718,8 +704,8 @@ def _rebuild(g: Multigraph, cert: Certificate, config: Config) -> list[Certifica
     except ValueError:
         return []
     if rule == "CyclicRestriction":
-        cocycle = PathCocycle(homology.fundamental_cycle_basis(g))
-        return [_cyclic_cert(sigma, sigma.order(), cohomology.class_order_cyclic(cocycle, sigma))]
+        lattice = homology.fundamental_cycle_basis(g)
+        return [_cyclic_cert(sigma, sigma.order(), cohomology.class_order_cyclic(lattice, sigma))]
     try:  # LoopSummand
         loop: Chain = {g.edge_index[item["edge"]]: item["sign"] for item in w["loop"]}
     except (KeyError, TypeError):

@@ -1,9 +1,9 @@
 """The obstruction 2-cocycle of a graph and the order of its class in
 second group cohomology.
 
-For a base vertex v0 (the canonical tree root) and any automorphism s, let
-P_s be the tree path from v0 to s(v0), so its boundary is s(v0) - v0.  The
-combination
+For the base vertex v0 (the lattice's tree root) and any automorphism s,
+let P_s (path_chain) be the tree path from v0 to s(v0), so its boundary
+is s(v0) - v0.  The combination (cocycle_chain)
 
     c(s, t) = P_s + s . P_t - P_{st}
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .autgroup import GraphAutomorphism, from_combined, identity_automorphism
+from .autgroup import GraphAutomorphism, automorphism_group, from_combined, identity_automorphism
 from .config import Config
 from .homology import (
     Chain,
@@ -66,32 +66,20 @@ class Unknown:
     upper: int
 
 
-class PathCocycle:
-    """Lazy 2-cocycle c(s, t) in cycle-lattice coordinates.
+def path_chain(lattice: CycleLattice, sigma: GraphAutomorphism) -> Chain:
+    """P_sigma, the tree path from the root v0 to sigma(v0)."""
+    v0 = lattice.root
+    return tree_path(lattice.graph, v0, sigma.vperm[v0])
 
-    Values depend on group elements only through their action and their
-    image of the base vertex, so evaluation needs no group bookkeeping.
-    Instances are immutable and safe to share.
-    """
 
-    def __init__(self, lattice: CycleLattice):
-        self.graph = lattice.graph
-        self.lattice = lattice
-        self.base_vertex = lattice.root
-
-    def path_chain(self, sigma: GraphAutomorphism) -> Chain:
-        """Tree path from v0 to sigma(v0); boundary sigma(v0) - v0."""
-        return tree_path(self.graph, self.base_vertex, sigma.vperm[self.base_vertex])
-
-    def value_chain(self, s: GraphAutomorphism, t: GraphAutomorphism) -> Chain:
-        g, v0 = self.graph, self.base_vertex
-        first = tree_path(g, v0, s.vperm[v0])
-        middle = chain_action(s, tree_path(g, v0, t.vperm[v0]))
-        last = tree_path(g, v0, s.vperm[t.vperm[v0]])
-        return axpy(axpy(first, middle), last, -1)
-
-    def value(self, s: GraphAutomorphism, t: GraphAutomorphism) -> list[int]:
-        return self.lattice.coordinates(self.value_chain(s, t))
+def cocycle_chain(lattice: CycleLattice, s: GraphAutomorphism, t: GraphAutomorphism) -> Chain:
+    """c(s, t) = P_s + s . P_t - P_st, a cycle of the lattice's graph.  It
+    depends on s and t only through their action and their images of v0,
+    so it needs no group bookkeeping."""
+    g, v0 = lattice.graph, lattice.root
+    middle = chain_action(s, path_chain(lattice, t))
+    last = tree_path(g, v0, s.vperm[t.vperm[v0]])
+    return axpy(axpy(path_chain(lattice, s), middle), last, -1)
 
 
 @dataclass
@@ -119,7 +107,7 @@ def cyclic_group_elements(sigma: GraphAutomorphism) -> list[GraphAutomorphism]:
     return out
 
 
-def restrict(cocycle: PathCocycle, elements: list[GraphAutomorphism]) -> CocycleTable:
+def restrict(lattice: CycleLattice, elements: list[GraphAutomorphism]) -> CocycleTable:
     """Tabulate the cocycle on a subgroup given by its full element list."""
     index = {a.combined: i for i, a in enumerate(elements)}
     if not elements or not elements[0].is_identity():
@@ -132,13 +120,13 @@ def restrict(cocycle: PathCocycle, elements: list[GraphAutomorphism]) -> Cocycle
                 raise ValueError("element list is not closed under composition")
             prod[(i, j)] = index[key]
     values = {
-        (i, j): tuple(cocycle.value(a, b))
+        (i, j): tuple(lattice.coordinates(cocycle_chain(lattice, a, b)))
         for i, a in enumerate(elements)
         for j, b in enumerate(elements)
     }
-    actions = [cocycle.lattice.action_matrix(a) for a in elements]
+    actions = [lattice.action_matrix(a) for a in elements]
     return CocycleTable(
-        rank=cocycle.lattice.rank,
+        rank=lattice.rank,
         size=len(elements),
         prod=prod,
         values=values,
@@ -189,7 +177,7 @@ def class_order_bar(table: CocycleTable) -> int:
     return order
 
 
-def class_order_cyclic(cocycle: PathCocycle, sigma: GraphAutomorphism) -> int:
+def class_order_cyclic(lattice: CycleLattice, sigma: GraphAutomorphism) -> int:
     """Order of the class restricted to <sigma>, by the closed form
     H^2(<sigma>, M) = M^sigma / N M: the least n with n * (N . P_sigma) in
     N M, where N = sum of the powers of the action.
@@ -207,8 +195,7 @@ def class_order_cyclic(cocycle: PathCocycle, sigma: GraphAutomorphism) -> int:
     m = sigma.order()
     if m == 1:
         return 1
-    lattice = cocycle.lattice
-    path = cocycle.path_chain(sigma)
+    path = path_chain(lattice, sigma)
     target = lattice.coordinates(norm(sigma, m, path))
     if all(x == 0 for x in target):
         return 1
@@ -266,7 +253,7 @@ def _fox_block(action: Matrix, a_h: Matrix, a_xh: Matrix, same: bool) -> Matrix:
     return out
 
 
-def class_order_presented(cocycle: PathCocycle, group: PermutationGroup) -> int:
+def class_order_presented(lattice: CycleLattice, group: PermutationGroup) -> int:
     """Order of the class restricted to the finite subgroup H = group of
     Aut(graph), from the Cayley-graph presentation of H: the least n in
     [1, |H|] with n * (tails) in the span of the Fox Jacobian columns.
@@ -275,11 +262,10 @@ def class_order_presented(cocycle: PathCocycle, group: PermutationGroup) -> int:
     Row i*g + r is coordinate r of relator i; column y*g + b is basis
     vector b of the unknown m_y.
     """
-    lattice = cocycle.lattice
     g = lattice.rank
     elements, tree, relators = cayley_presentation(group)
-    autos = [from_combined(cocycle.graph, p) for p in elements]
-    gens = [from_combined(cocycle.graph, q) for q in group.generators]
+    autos = [from_combined(lattice.graph, p) for p in elements]
+    gens = [from_combined(lattice.graph, q) for q in group.generators]
     actions = [lattice.action_matrix(x) for x in gens]
     ys = range(len(gens))
     tails: list[list[int]] = [[0] * g for _ in elements]  # V_h
@@ -288,7 +274,7 @@ def class_order_presented(cocycle: PathCocycle, group: PermutationGroup) -> int:
 
     def lift(x: int, h: int) -> list[int]:
         """x . V_h + c(x, h)"""
-        value = cocycle.value(gens[x], autos[h])
+        value = lattice.coordinates(cocycle_chain(lattice, gens[x], autos[h]))
         return [a + b for a, b in zip(matvec(actions[x], tails[h]), value)]
 
     for x, h, xh in tree:
@@ -323,11 +309,12 @@ class SylowOrder:
 
 
 def class_order_exact(
-    cocycle: PathCocycle, group: PermutationGroup, config: Config = Config()
+    lattice: CycleLattice, config: Config = Config()
 ) -> tuple[int, list[SylowOrder]] | Unknown:
-    """Exact order of the class in H^2(G, M) as the lcm of its restrictions
-    to one Sylow subgroup per prime (restriction is injective on p-primary
-    parts since corestriction . restriction = index).
+    """Exact order of the class in H^2(G, M), G = Aut of the lattice's
+    graph, as the lcm of its restrictions to one Sylow subgroup per prime
+    (restriction is injective on p-primary parts since corestriction .
+    restriction = index).
 
     Each restriction comes from the Cayley-graph presentation
     (class_order_presented) of the Sylow subgroup that sylow_subgroup grows
@@ -339,6 +326,7 @@ def class_order_exact(
     of pinned reports (soccer-doubled's); dropping the gate belongs with a
     change that alters reports anyway, such as a higher bar_cap.
     """
+    group = automorphism_group(lattice.graph)
     order = group.order()
     if order == 1:
         return 1, []
@@ -348,7 +336,7 @@ def class_order_exact(
     total = 1
     parts = []
     for p, pk in primes:
-        n = class_order_presented(cocycle, sylow_subgroup(group, p, config))
+        n = class_order_presented(lattice, sylow_subgroup(group, p, config))
         parts.append(SylowOrder(prime=p, subgroup_order=pk, class_order=n))
         total = math.lcm(total, n)
     return total, parts

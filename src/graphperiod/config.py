@@ -1,7 +1,8 @@
 """Run configuration shared by the analysis pipeline and the CLI.
 
-Every cap, budget and seed lives here only: library functions that need
-one take the whole Config as a `config` parameter (defaulting to Config(),
+Every cap, budget and seed lives here, except the 10 000 draws that
+permgroup.sylow_subgroup allows itself: library functions that need one
+take the whole Config as a `config` parameter (defaulting to Config(),
 which is frozen and so safe to share) and read the field they need.
 Fields with a "help" entry in their metadata are exposed as CLI flags.
 """

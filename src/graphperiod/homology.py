@@ -101,15 +101,14 @@ def tree_path(g: Multigraph, start: int, goal: int) -> Chain:
 @dataclass
 class CycleLattice:
     """H_1(Gamma, Z) with a fundamental cycle basis.  Immutable after
-    construction apart from its caches: per automorphism (keyed by
-    sigma.combined) the action matrix and the sparse invariant-functional
-    basis used by coinvariant_primitive."""
+    construction apart from its cache: per automorphism (keyed by
+    sigma.combined) the sparse invariant-functional basis used by
+    coinvariant_primitive."""
 
     graph: Multigraph
     root: int
     nontree: tuple[int, ...]
     basis: tuple[Chain, ...]
-    _action_cache: dict = field(default_factory=dict, repr=False)
     _coinvariant_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -137,14 +136,8 @@ class CycleLattice:
     def action_matrix(self, sigma: GraphAutomorphism) -> Matrix:
         """g x g matrix expressing the signed pushforward of every basis
         cycle in the basis again; det is always +-1."""
-        key = sigma.combined
-        cached = self._action_cache.get(key)
-        if cached is not None:
-            return cached
         cols = [self.coordinates(chain_action(sigma, z)) for z in self.basis]
-        matrix = [[cols[j][i] for j in range(self.rank)] for i in range(self.rank)]
-        self._action_cache[key] = matrix
-        return matrix
+        return [[cols[j][i] for j in range(self.rank)] for i in range(self.rank)]
 
 
 def fundamental_cycle_basis(g: Multigraph) -> CycleLattice:

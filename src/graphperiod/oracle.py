@@ -86,13 +86,13 @@ def suite_cyclic_vs_bar(seed: int, instances: int = 50) -> list[str]:
     done = 0
     while done < instances:
         g = random_multigraph(rng)
-        cocycle = cohomology.PathCocycle(homology.fundamental_cycle_basis(g))
+        lattice = homology.fundamental_cycle_basis(g)
         sigma = random_automorphism(g, rng, max_order=12)
         if sigma is None:
             continue
         done += 1
-        fast = cohomology.class_order_cyclic(cocycle, sigma)
-        table = cohomology.restrict(cocycle, cohomology.cyclic_group_elements(sigma))
+        fast = cohomology.class_order_cyclic(lattice, sigma)
+        table = cohomology.restrict(lattice, cohomology.cyclic_group_elements(sigma))
         slow = cohomology.class_order_bar(table)
         if fast != slow:
             failures.append(
@@ -122,13 +122,13 @@ def suite_presentation_vs_bar(
             continue
         done += 1
         elements = sub.enumerate_elements()
-        cocycle = cohomology.PathCocycle(homology.fundamental_cycle_basis(g))
+        lattice = homology.fundamental_cycle_basis(g)
         try:
-            fast: int | str = cohomology.class_order_presented(cocycle, sub)
+            fast: int | str = cohomology.class_order_presented(lattice, sub)
         except AssertionError as exc:  # a wrong presentation misses every n <= |H|
             fast = f"AssertionError({exc})"
         autos = [autgroup.from_combined(g, p) for p in elements]
-        slow = cohomology.class_order_bar(cohomology.restrict(cocycle, autos))
+        slow = cohomology.class_order_bar(cohomology.restrict(lattice, autos))
         if fast != slow:
             failures.append(
                 f"graph {g.name!r} generators "

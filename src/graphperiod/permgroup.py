@@ -274,24 +274,28 @@ class PermutationGroup:
     @cached_property
     def _generators_and_inverses(self) -> tuple[_Codec, tuple[tuple, ...]]:
         """The codec of this degree and the (table(g), table(g^-1)) pair of
-        every generator g, for random_element."""
+        every generator g, for _random_key."""
         codec = _Codec(self.degree)
         return codec, tuple((codec.table(g), codec.table(inverse(g))) for g in self.generators)
 
     def random_element(self, rng: Random, word_length: int) -> Perm:
         """A word of 1 to word_length generators or inverses, multiplied
-        on the left in drawing order.  The product runs on keys (see the
-        module docstring) and is decoded once."""
-        if not self.generators:
-            return identity(self.degree)
+        on the left in drawing order."""
+        return tuple(self._random_key(rng, word_length))
+
+    def _random_key(self, rng: Random, word_length: int):
+        """The key (see the module docstring) of random_element's word; the
+        identity's, drawing nothing, when there are no generators."""
         codec, tables = self._generators_and_inverses
         p = codec.encode(identity(self.degree))
+        if not tables:
+            return p
         for _ in range(rng.randint(1, word_length)):
             g, g_inv = rng.choice(tables)
             if rng.random() < 0.5:
                 g = g_inv
             p = codec.apply(p)(g)
-        return tuple(p)
+        return p
 
 
 def cyclic_subgroups(
@@ -321,7 +325,7 @@ def cyclic_subgroups(
         rng = Random(config.seed)
         elements = [codec.encode(g) for g in group.generators]
         for _ in range(config.word_budget):
-            elements.append(codec.encode(group.random_element(rng, config.max_word_length)))
+            elements.append(group._random_key(rng, config.max_word_length))
 
     # <q> is already recorded exactly when q generates a recorded subgroup,
     # i.e. is some power r^k, gcd(k, |r|) = 1, of a recorded generator r.

@@ -17,7 +17,6 @@ from graphperiod.autgroup import (
 from graphperiod.bounds import (
     RULES,
     Certificate,
-    DivisorInterval,
     NotAClosedChain,
     NotApplicable,
     SoundnessError,
@@ -32,7 +31,7 @@ from graphperiod.bounds import (
     period_lower_loop_summand,
     verify_certificate,
 )
-from graphperiod.cohomology import PathCocycle, class_order_cyclic
+from graphperiod.cohomology import class_order_cyclic, path_chain
 from graphperiod.config import Config
 from graphperiod.homology import (
     boundary,
@@ -142,17 +141,16 @@ class TestLoopSummand:
 
     def test_firing_rule_divides_cyclic_order(self):
         g, lattice = k5_setup()
-        cocycle = PathCocycle(lattice)
         sigma = vertex_cycle_automorphism(g, ["v1", "v2", "v3", "v4", "v5"])
         loop = chain_from_vertex_cycle(g, ["v1", "v2", "v3", "v4", "v5"])
         m = period_lower_loop_summand(lattice, sigma, loop)
-        assert class_order_cyclic(cocycle, sigma) % m == 0
+        assert class_order_cyclic(lattice, sigma) % m == 0
 
 
 class TestIndexDivisors:
     def test_k5(self):
         g = catalog.builtin("k5")
-        certs, status = index_upper_divisors(g, automorphism_group(g))
+        certs, status = index_upper_divisors(g)
         divisors = {c.divisor for c in certs}
         assert 5 in divisors  # g - 1
         assert 10 in divisors  # the single edge orbit, also 2|V|
@@ -161,14 +159,14 @@ class TestIndexDivisors:
 
     def test_doubled_k4(self):
         g = catalog.builtin("doubled-k4")
-        certs, _ = index_upper_divisors(g, automorphism_group(g))
+        certs, _ = index_upper_divisors(g)
         divisors = {c.divisor for c in certs}
         assert {6, 10, 2} <= divisors  # genus-1, whole graph, diagonal orbit
         assert math.gcd(*divisors) == 2
 
     def test_soccer(self):
         g = catalog.builtin("soccer-doubled")
-        certs, _ = index_upper_divisors(g, automorphism_group(g))
+        certs, _ = index_upper_divisors(g)
         divisors = {c.divisor for c in certs}
         assert 60 in divisors and 120 in divisors
         assert math.gcd(*divisors) == 60
@@ -177,22 +175,21 @@ class TestIndexDivisors:
 class TestInvariantSubgraphs:
     def test_k5_has_none(self):
         g = catalog.builtin("k5")
-        assert invariant_subgraphs(g, automorphism_group(g)) == []
+        assert invariant_subgraphs(g) == []
 
     def test_doubled_cycle_has_none(self):
         g = catalog.builtin("doubled-cycle-g5")
-        assert invariant_subgraphs(g, automorphism_group(g)) == []
+        assert invariant_subgraphs(g) == []
 
     def test_union_cap_shared_with_index_divisors(self):
         # one cap check gates both enumerations: at 2^#orbits the unions
         # are enumerated, one below they are skipped by both, and the
         # orbit rule notes the skip exactly when no subgraph is returned
         g = catalog.builtin("hybrid")
-        group = automorphism_group(g)
-        n = len(_edge_orbits(g, group))
+        n = len(_edge_orbits(g))
         for cap, enumerated in ((2**n, True), (2**n - 1, False)):
-            certs, status = index_upper_divisors(g, group, Config(union_cap=cap))
-            subs = invariant_subgraphs(g, group, Config(union_cap=cap))
+            certs, status = index_upper_divisors(g, Config(union_cap=cap))
+            subs = invariant_subgraphs(g, Config(union_cap=cap))
             kinds = {c.witness.get("kind") for c in certs}
             assert ("orbit-union-edges" in kinds) == enumerated
             assert bool(subs) == enumerated
@@ -202,7 +199,7 @@ class TestInvariantSubgraphs:
 
     def test_hybrid_contains_doubled_cycle(self):
         g = catalog.builtin("hybrid")
-        subs = invariant_subgraphs(g, automorphism_group(g))
+        subs = invariant_subgraphs(g)
         shapes = {(len(s.vertices), len(s.edges)) for s in subs}
         assert (4, 8) in shapes  # the doubled 4-cycle on v1..v4
 
@@ -329,11 +326,18 @@ def test_printed_intervals_are_what_the_certificates_prove(name):
 
 
 def test_divisor_interval_soundness_error():
-    interval = DivisorInterval()
-    interval.add_lower(4)
-    interval.add_upper(6)
-    with pytest.raises(SoundnessError):
-        interval.check("period")
+    # an unsound certificate list for each target: 4 does not divide 6
+    for target, lower_rule, upper_rule in (
+        ("period", "CyclicRestriction", "AutOrder"),
+        ("index", "PeriodDividesIndex", "GenusIndex"),
+    ):
+        certs = [
+            Certificate(lower_rule, target, "lower", 4, {}),
+            Certificate(upper_rule, target, "upper", 6, {}),
+        ]
+        message = f"{target}: lower bound 4 does not divide upper 6"
+        with pytest.raises(SoundnessError, match=message):
+            intervals_from_certificates(certs)
 
 
 def test_asymmetric_graph_trivial_class():
@@ -376,8 +380,8 @@ def _replay_scan(g, monkeypatch):
             processed.append(sigma)
         return sigma
 
-    def recording_class_order(cocycle, sigma):
-        n = real_class_order(cocycle, sigma)
+    def recording_class_order(lattice, sigma):
+        n = real_class_order(lattice, sigma)
         if sigma.graph is g:
             computed[sigma.combined] = n
         return n
@@ -397,14 +401,14 @@ def test_skipped_cyclic_restrictions_repeat_a_held_divisor(name, min_skipped, mo
     earlier computed restriction already certified."""
     g = catalog.builtin(name)
     report, processed, computed = _replay_scan(g, monkeypatch)
-    cocycle = PathCocycle(fundamental_cycle_basis(g))
+    lattice = fundamental_cycle_basis(g)
     held: set[int] = set()
     skipped = 0
     for sigma in processed:
         n = computed.get(sigma.combined)
         if n is None:
             skipped += 1
-            n = class_order_cyclic(cocycle, sigma)
+            n = class_order_cyclic(lattice, sigma)
             assert n == 1 or n in held, (sigma.order(), n, held)
         elif n > 1:
             held.add(n)
@@ -450,15 +454,14 @@ def _per_edge_norm(sigma, m, chain):
     return total
 
 
-def _chain_class_order_cyclic(cocycle, sigma):
+def _chain_class_order_cyclic(lattice, sigma):
     """class_order_cyclic as it was before the solve moved to sigma's
     edge-cycle coordinates: every orbit sum N . z built as a chain, checked
     through lattice.coordinates, and eliminated in basis coordinates."""
     m = sigma.order()
     if m == 1:
         return 1
-    lattice = cocycle.lattice
-    target = lattice.coordinates(_per_edge_norm(sigma, m, cocycle.path_chain(sigma)))
+    target = lattice.coordinates(_per_edge_norm(sigma, m, path_chain(lattice, sigma)))
     if all(x == 0 for x in target):
         return 1
     solver = LatticeSolver(lattice.rank)
@@ -473,17 +476,16 @@ def _check_against_the_chain_route(lattice, sigmas):
     the loop scan sums over translates; returns how many sigma reverse the
     sign of some edge cycle."""
     g = lattice.graph
-    cocycle = PathCocycle(lattice)
     nv = len(g.vertices)
     reversing = 0
     for sigma in sigmas:
-        assert class_order_cyclic(cocycle, sigma) == _chain_class_order_cyclic(cocycle, sigma), (
+        assert class_order_cyclic(lattice, sigma) == _chain_class_order_cyclic(lattice, sigma), (
             sigma.to_json_dict()
         )
         m = sigma.order()
         moved = [v for v in range(nv) if sigma.vperm[v] != v]
         paths = [tree_path(g, o[0], sigma.vperm[o[0]]) for o in orbits(nv, [sigma.vperm], moved)]
-        for chain in [*lattice.basis, *paths, cocycle.path_chain(sigma)]:
+        for chain in [*lattice.basis, *paths, path_chain(lattice, sigma)]:
             assert norm(sigma, m, chain) == _per_edge_norm(sigma, m, chain)
         reversing += any(not cycle for _, _, _, cycle in sigma.signed_edge_cycles)
     return reversing
@@ -657,7 +659,7 @@ def test_a_firing_loop_summand_divides_the_cyclic_restriction(g):
     for lattice, sigma, loops in _candidate_loops(g, _limit(g)):
         if any(type(period_lower_loop_summand(lattice, sigma, loop)) is int for loop in loops):
             fired += 1
-            assert class_order_cyclic(PathCocycle(lattice), sigma) == sigma.order(), (
+            assert class_order_cyclic(lattice, sigma) == sigma.order(), (
                 sigma.to_json_dict()
             )
     if g.name == "soccer-doubled":

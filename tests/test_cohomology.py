@@ -11,13 +11,13 @@ from graphperiod.autgroup import (
 )
 from graphperiod.cohomology import (
     CocycleTable,
-    PathCocycle,
     Unknown,
     cayley_presentation,
     class_order_bar,
     class_order_cyclic,
     class_order_exact,
     class_order_presented,
+    cocycle_chain,
     cyclic_group_elements,
     restrict,
 )
@@ -35,59 +35,57 @@ from graphperiod.permgroup import (
 from util import relabel, transfer_automorphism, vertex_cycle_automorphism
 
 
-def make_cocycle(name):
+def make_lattice(name):
     g = catalog.builtin(name)
-    lattice = fundamental_cycle_basis(g)
-    return g, lattice, PathCocycle(lattice)
+    return g, fundamental_cycle_basis(g)
 
 
 def test_normalization():
-    g, lattice, c = make_cocycle("k5")
+    g, lattice = make_lattice("k5")
     ident = identity_automorphism(g)
     some = automorphism_generators(g)[3]
-    assert c.value(ident, ident) == [0] * lattice.rank
-    assert c.value(ident, some) == [0] * lattice.rank
-    assert c.value(some, ident) == [0] * lattice.rank
+    for s, t in ((ident, ident), (ident, some), (some, ident)):
+        assert lattice.coordinates(cocycle_chain(lattice, s, t)) == [0] * lattice.rank
 
 
 def test_values_are_cycles():
-    g, lattice, c = make_cocycle("doubled-k4")
+    g, lattice = make_lattice("doubled-k4")
     rng = Random(0)
     gens = automorphism_generators(g)
     for _ in range(50):
         s, t = rng.choice(gens), rng.choice(gens)
-        chain = c.value_chain(s, t)
+        chain = cocycle_chain(lattice, s, t)
         assert boundary(g, chain) == {}
 
 
 def test_cocycle_identity_random_triples():
     rng = Random(1)
     for name in ("k5", "doubled-k4"):
-        g, lattice, c = make_cocycle(name)
+        g, lattice = make_lattice(name)
         gens = automorphism_generators(g)
         for _ in range(200):
             s, t, u = (rng.choice(gens) for _ in range(3))
             tu = t.compose(u)
             st = s.compose(t)
-            lhs = chain_action(s, c.value_chain(t, u))
-            lhs = axpy(lhs, c.value_chain(st, u), -1)
-            lhs = axpy(lhs, c.value_chain(s, tu))
-            lhs = axpy(lhs, c.value_chain(s, t), -1)
+            lhs = chain_action(s, cocycle_chain(lattice, t, u))
+            lhs = axpy(lhs, cocycle_chain(lattice, st, u), -1)
+            lhs = axpy(lhs, cocycle_chain(lattice, s, tu))
+            lhs = axpy(lhs, cocycle_chain(lattice, s, t), -1)
             assert lhs == {}
 
 
 def test_restrict_to_trivial_subgroup_is_zero():
-    g, lattice, c = make_cocycle("k5")
-    table = restrict(c, [identity_automorphism(g)])
+    g, lattice = make_lattice("k5")
+    table = restrict(lattice, [identity_automorphism(g)])
     assert table.size == 1
     assert set(table.values.values()) == {(0,) * lattice.rank}
     assert class_order_bar(table) == 1
 
 
 def test_restrict_5_cycle_table_shape():
-    g, lattice, c = make_cocycle("k5")
+    g, lattice = make_lattice("k5")
     sigma = vertex_cycle_automorphism(g, ["v1", "v2", "v3", "v4", "v5"])
-    table = restrict(c, cyclic_group_elements(sigma))
+    table = restrict(lattice, cyclic_group_elements(sigma))
     assert table.size == 5
     assert table.rank == 6
     assert len(table.values) == 25
@@ -97,23 +95,23 @@ def test_doubled_cycle_rotation_restriction_has_full_order():
     # the restricted class on the one-step rotation subgroup generates
     # H^2 of a cyclic group of order g-1
     for gg in (4, 5, 6):
-        g, lattice, c = make_cocycle(f"doubled-cycle-g{gg}")
+        g, lattice = make_lattice(f"doubled-cycle-g{gg}")
         rot = vertex_cycle_automorphism(g, [f"v{i}" for i in range(1, gg)])
         assert rot.order() == gg - 1
-        assert class_order_cyclic(c, rot) == gg - 1
-        table = restrict(c, cyclic_group_elements(rot))
+        assert class_order_cyclic(lattice, rot) == gg - 1
+        table = restrict(lattice, cyclic_group_elements(rot))
         assert class_order_bar(table) == gg - 1
 
 
 def test_k5_five_cycle_restriction():
-    g, lattice, c = make_cocycle("k5")
+    g, lattice = make_lattice("k5")
     sigma = vertex_cycle_automorphism(g, ["v1", "v2", "v3", "v4", "v5"])
-    assert class_order_cyclic(c, sigma) == 5
+    assert class_order_cyclic(lattice, sigma) == 5
 
 
 def test_identity_restriction_trivial():
-    g, lattice, c = make_cocycle("k5")
-    assert class_order_cyclic(c, identity_automorphism(g)) == 1
+    g, lattice = make_lattice("k5")
+    assert class_order_cyclic(lattice, identity_automorphism(g)) == 1
 
 
 def test_synthetic_mod2_cocycle_order_two():
@@ -138,7 +136,7 @@ def test_bar_order_on_shuffled_nonabelian_sylow(name, order, expected):
     # st != ts in these Sylow-2 subgroups, so a bar complex that swaps s
     # and t, or drops the action term, gives a different answer; the
     # shuffles move every element but the identity to a new index
-    g, lattice, c = make_cocycle(name)
+    g, lattice = make_lattice(name)
     sub = sylow_subgroup(automorphism_group(g), 2)
     elements = [from_combined(g, p) for p in sub.enumerate_elements()]
     assert len(elements) == order
@@ -151,7 +149,7 @@ def test_bar_order_on_shuffled_nonabelian_sylow(name, order, expected):
     for _ in range(3):
         rest = elements[1:]
         rng.shuffle(rest)
-        assert class_order_bar(restrict(c, elements[:1] + rest)) == expected
+        assert class_order_bar(restrict(lattice, elements[:1] + rest)) == expected
 
 
 @pytest.mark.parametrize(
@@ -159,9 +157,9 @@ def test_bar_order_on_shuffled_nonabelian_sylow(name, order, expected):
     [("k5", 5), ("k34", 1), ("doubled-cycle-g3", 2), ("doubled-cycle-g4", 3)],
 )
 def test_class_order_exact(name, expected):
-    g, lattice, c = make_cocycle(name)
+    g, lattice = make_lattice(name)
     group = automorphism_group(g)
-    result = class_order_exact(c, group)
+    result = class_order_exact(lattice)
     assert isinstance(result, tuple)
     assert result[0] == expected
     assert group.order() % result[0] == 0
@@ -171,7 +169,7 @@ def test_class_order_exact(name, expected):
 
 def test_class_order_exact_enumerates_nothing(monkeypatch):
     # only the Sylow subgroups are listed, by their Cayley-graph walks
-    g, lattice, c = make_cocycle("k5")
+    g, lattice = make_lattice("k5")
     group = automorphism_group(g)
     original = PermutationGroup.enumerate_elements
     listed = []
@@ -183,53 +181,50 @@ def test_class_order_exact_enumerates_nothing(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(PermutationGroup, "enumerate_elements", refuse_g)
-    result = class_order_exact(c, group)
+    result = class_order_exact(lattice)
     assert isinstance(result, tuple) and result[0] == 5
     assert [part.subgroup_order for part in result[1]] == [8, 3, 5]
     assert listed == [8, 3, 5]
 
 
 def test_class_order_exact_unknown_for_large_groups():
-    g, lattice, c = make_cocycle("doubled-cycle-g5")
-    group = automorphism_group(g)
-    result = class_order_exact(c, group)
+    g, lattice = make_lattice("doubled-cycle-g5")
+    result = class_order_exact(lattice)
     assert result == Unknown(128)  # Sylow-2 part 2^7 exceeds the bar cap
 
 
 def test_cyclic_divides_exact():
-    g, lattice, c = make_cocycle("k5")
-    group = automorphism_group(g)
-    exact = class_order_exact(c, group)[0]
+    g, lattice = make_lattice("k5")
+    exact = class_order_exact(lattice)[0]
     rng = Random(3)
     gens = automorphism_generators(g)
     for _ in range(25):
         a = rng.choice(gens)
         for _ in range(rng.randrange(3)):
             a = a.compose(rng.choice(gens))
-        assert exact % class_order_cyclic(c, a) == 0
+        assert exact % class_order_cyclic(lattice, a) == 0
 
 
 def test_class_order_independent_of_spanning_tree():
     rng = Random(9)
     checked = 0
     for name in ("k5", "doubled-k4", "doubled-cycle-g5", "k34"):
-        g, lattice, c = make_cocycle(name)
+        g, lattice = make_lattice(name)
         mapping = {v: f"z{len(g.vertices) - i:02d}" for i, v in enumerate(g.vertices)}
         h = relabel(g, mapping)
         lattice2 = fundamental_cycle_basis(h)
         assert lattice2.root != lattice.root or name == "k34"
-        c2 = PathCocycle(lattice2)
         gens = automorphism_generators(g)
         for _ in range(5):
             a = rng.choice(gens)
             b = transfer_automorphism(a, h)
-            assert class_order_cyclic(c, a) == class_order_cyclic(c2, b)
+            assert class_order_cyclic(lattice, a) == class_order_cyclic(lattice2, b)
             checked += 1
     assert checked >= 20
 
 
 def test_cayley_presentation_shape():
-    g, lattice, c = make_cocycle("doubled-cycle-g3")
+    g, lattice = make_lattice("doubled-cycle-g3")
     sub = sylow_subgroup(automorphism_group(g), 2)
     elements, tree, relators = cayley_presentation(sub)
     n, k = sub.order(), len(sub.generators)
@@ -286,7 +281,7 @@ def test_presented_order_equals_bar_on_small_sylow_subgroups():
     # lattice does not finish in minutes even on the order-5 subgroup
     checked = 0
     for name in catalog.BUILTIN_NAMES:
-        g, lattice, c = make_cocycle(name)
+        g, lattice = make_lattice(name)
         group = automorphism_group(g)
         if group.order() > Config.max_enum:
             continue
@@ -296,25 +291,25 @@ def test_presented_order_equals_bar_on_small_sylow_subgroups():
             for seed in range(3):
                 sub = sylow_subgroup(group, p, Config(seed=seed))
                 elements = [from_combined(g, q) for q in sub.enumerate_elements()]
-                bar = class_order_bar(restrict(c, elements))
-                assert class_order_presented(c, sub) == bar, (name, p, seed)
+                bar = class_order_bar(restrict(lattice, elements))
+                assert class_order_presented(lattice, sub) == bar, (name, p, seed)
                 checked += 1
     assert checked == 36
 
 
 def test_presented_order_on_k5_sylow_5():
     # one generator, one relator x^5 = 1: dropping it would give 1
-    g, lattice, c = make_cocycle("k5")
+    g, lattice = make_lattice("k5")
     sub = sylow_subgroup(automorphism_group(g), 5)
     assert sub.order() == 5 and len(sub.generators) == 1
     assert len(cayley_presentation(sub)[2]) == 1
-    assert class_order_presented(c, sub) == 5
+    assert class_order_presented(lattice, sub) == 5
 
 
 def test_presented_order_on_trivial_group():
-    g, lattice, c = make_cocycle("k5")
+    g, lattice = make_lattice("k5")
     trivial = PermutationGroup(len(g.vertices) + len(g.edges), [])
-    assert class_order_presented(c, trivial) == 1
+    assert class_order_presented(lattice, trivial) == 1
 
 
 @pytest.mark.parametrize(
@@ -324,8 +319,8 @@ def test_presented_order_on_trivial_group():
 def test_class_order_exact_at_bar_cap_256(name, period):
     # Sylow-2 subgroups of order 128 and 256: seconds through the
     # presentation, minutes and gigabytes through the bar complex
-    g, lattice, c = make_cocycle(name)
-    result = class_order_exact(c, automorphism_group(g), Config(bar_cap=256))
+    g, lattice = make_lattice(name)
+    result = class_order_exact(lattice, Config(bar_cap=256))
     assert isinstance(result, tuple)
     assert result[0] == period == catalog.EXPECTED[name][1][0]
     assert max(part.subgroup_order for part in result[1]) in (128, 256)

@@ -339,6 +339,45 @@ def test_analyze_and_verify_compute_no_smith_form(name, monkeypatch):
     assert solvers, "the loop-summand test never ran"
 
 
+@pytest.mark.parametrize(
+    "name,bar_cap",
+    [
+        ("soccer-doubled", 32),
+        ("hybrid", 32),
+        ("doubled-cycle-g6", 64),
+        ("k5", 32),
+        ("doubled-k4", 256),
+    ],
+)
+def test_analyze_and_verify_compute_each_action_matrix_once(name, bar_cap, monkeypatch):
+    """No sigma's action matrix is computed twice on one lattice during
+    analyze and the re-verification of every certificate, so a cache of
+    them on the lattice would never be hit."""
+    from graphperiod.bounds import analyze, verify_certificate
+    from graphperiod.config import Config
+    from graphperiod.homology import CycleLattice
+
+    # each lattice is kept alive, so no later lattice can reuse its id
+    seen: dict[int, tuple[CycleLattice, set]] = {}
+    repeats = []
+    original = CycleLattice.action_matrix
+
+    def recording(self, sigma):
+        keys = seen.setdefault(id(self), (self, set()))[1]
+        if sigma.combined in keys:
+            repeats.append(sigma.to_json_dict())
+        keys.add(sigma.combined)
+        return original(self, sigma)
+
+    monkeypatch.setattr(CycleLattice, "action_matrix", recording)
+    g = catalog.builtin(name)
+    config = Config(bar_cap=bar_cap)
+    report = analyze(g, config)
+    assert all(verify_certificate(g, c, config) for c in report.certificates)
+    assert seen, "no action matrix was computed"
+    assert repeats == []
+
+
 def test_coordinates_rejects_an_extra_tree_edge():
     g = catalog.builtin("k5")
     L = fundamental_cycle_basis(g)

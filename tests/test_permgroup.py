@@ -11,6 +11,7 @@ from graphperiod.permgroup import (
     PermutationGroup,
     SylowGrowthStalled,
     _ChainLevel,
+    _Codec,
     _factor,
     cyclic_subgroups,
     element_order,
@@ -542,6 +543,22 @@ def test_random_words_unchanged_on_the_tuple_codec(generators):
                 _tuple_random_element(group, old_rng, Config.max_word_length)
             )
         assert new_rng.getstate() == old_rng.getstate()
+
+
+@pytest.mark.parametrize("degree", [180, 300], ids=["soccer", "dihedral-300"])
+def test_sampled_keys_are_the_encoded_random_words(aut_soccer, degree):
+    """cyclic_subgroups draws keys with _random_key: with equal seeds its
+    word_budget keys are the encoded random_element words, from the same
+    RNG calls, on the byte codec (soccer) and the tuple codec."""
+    group = aut_soccer if degree == 180 else PermutationGroup(300, [_ROTATION, _REFLECTION])
+    assert group.degree == degree
+    codec = _Codec(degree)
+    key_rng, word_rng = Random(0), Random(0)
+    for _ in range(Config.word_budget):
+        assert group._random_key(key_rng, Config.max_word_length) == codec.encode(
+            group.random_element(word_rng, Config.max_word_length)
+        )
+    assert key_rng.getstate() == word_rng.getstate()
 
 
 def test_element_enumeration_checks_its_count(aut_k5, monkeypatch):
