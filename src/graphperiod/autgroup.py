@@ -40,9 +40,11 @@ class GraphAutomorphism:
 
     def __post_init__(self):
         g = self.graph
-        for k, (t, h) in enumerate(g.edge_ends_idx):
-            it, ih = g.edge_ends_idx[self.eperm[k]]
-            if {self.vperm[t], self.vperm[h]} != {it, ih}:
+        ends, vperm, eperm = g.edge_ends_idx, self.vperm, self.eperm
+        for k, (t, h) in enumerate(ends):
+            it, ih = ends[eperm[k]]
+            vt, vh = vperm[t], vperm[h]
+            if not (vt == it and vh == ih or vt == ih and vh == it):
                 raise ValueError(
                     f"edge {g.edges[k].id!r} image does not match vertex images"
                 )
@@ -62,7 +64,10 @@ class GraphAutomorphism:
     @cached_property
     def signed_eperm(self) -> tuple[tuple[int, int], ...]:
         """(image edge, edge_sign) for every edge, in edge-index order."""
-        return tuple((x, self.edge_sign(k)) for k, x in enumerate(self.eperm))
+        ends, vperm = self.graph.edge_ends_idx, self.vperm
+        return tuple(
+            (x, 1 if vperm[ends[k][0]] == ends[x][0] else -1) for k, x in enumerate(self.eperm)
+        )
 
     @cached_property
     def signed_edge_cycles(self) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:

@@ -26,7 +26,15 @@ from .autgroup import (
 )
 from .cohomology import Unknown
 from .config import Config
-from .homology import Chain, CycleLattice, boundary, chain_action, norm, tree_path
+from .homology import (
+    Chain,
+    CycleLattice,
+    boundary,
+    chain_action,
+    expand_orbit_sum,
+    orbit_sum_coefficients,
+    tree_path,
+)
 from .intlinalg import axpy
 from .multigraph import GraphError, Multigraph, genus
 from .permgroup import SylowGrowthStalled, cyclic_subgroups, orbits
@@ -435,14 +443,25 @@ def _scan_loops_for_sigma(lattice: CycleLattice, sigma: GraphAutomorphism, m: in
     vertex v of each moved vertex orbit to sigma(v) summed over translates,
     then the orbit sum of each fundamental cycle, followed by the cycle
     itself when sigma fixes it.  Nothing is deduplicated: a chain that
-    repeats, or repeats negated, is yielded again, and so is an empty one."""
+    repeats, or repeats negated, is yielded again, and so is an empty one.
+
+    An orbit sum is expanded to a chain only when each of its edge-cycle
+    coefficients is +-1: the edge cycles are disjoint, so any other
+    coefficient is the entry of an edge, and the rule answers "loop is not
+    a simple cycle" for a closed chain with such an entry."""
     g = lattice.graph
     nv = len(g.vertices)
+
+    def orbit_sums(chain: Chain):
+        coefficients = orbit_sum_coefficients(sigma, m, chain)
+        if all(x == 1 or x == -1 for x in coefficients.values()):
+            yield expand_orbit_sum(sigma, coefficients)
+
     moved = [v for v in range(nv) if sigma.vperm[v] != v]
     for orbit in orbits(nv, [sigma.vperm], moved):
-        yield norm(sigma, m, tree_path(g, orbit[0], sigma.vperm[orbit[0]]))
+        yield from orbit_sums(tree_path(g, orbit[0], sigma.vperm[orbit[0]]))
     for z in lattice.basis:
-        yield norm(sigma, m, z)
+        yield from orbit_sums(z)
         if chain_action(sigma, z) == z:
             yield z
 

@@ -63,11 +63,17 @@ def orbit_sum_coefficients(sigma: GraphAutomorphism, m: int, chain: Chain) -> di
 
 
 def norm(sigma: GraphAutomorphism, m: int, chain: Chain) -> Chain:
-    """The orbit sum N . chain as a chain: orbit_sum_coefficients expanded
-    over the edges of each S_C."""
+    """The orbit sum N . chain as a chain."""
+    return expand_orbit_sum(sigma, orbit_sum_coefficients(sigma, m, chain))
+
+
+def expand_orbit_sum(sigma: GraphAutomorphism, coefficients: dict[int, int]) -> Chain:
+    """The chain sum of x * S_C over the (k0, x) in coefficients, as
+    orbit_sum_coefficients gives them: x * c on every edge k of S_C, as S_C
+    lists (k, c).  The edge cycles are disjoint, so each x is an entry."""
     cycles = sigma.signed_edge_cycles
     total: Chain = {}
-    for k0, x in orbit_sum_coefficients(sigma, m, chain).items():
+    for k0, x in coefficients.items():
         for k, c in cycles[k0][3]:
             total[k] = x * c
     return total

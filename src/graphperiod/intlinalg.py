@@ -3,7 +3,9 @@ with least multiples.
 
 LatticeSolver answers whether a vector lies in the span of its generators,
 and the least n with n*vec inside, from a Hermite form; it keeps no
-coordinates over the generators.  Its echelon rows also give left kernels:
+coordinates over the generators.  The least multiple takes one reduction of
+the vector, which scales it only where a pivot demands, and membership is
+the least multiple under the bound 1.  Its echelon rows also give left kernels:
 homology.invariant_functionals reads the invariant functionals of an
 action off the echelon form of [A - I | I].  The Smith form is the
 reference route: minimal_multiple_snf answers the membership question for
@@ -20,6 +22,7 @@ row per relator and coordinate) and, in the oracle, the bar complex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 Matrix = list[list[int]]
@@ -217,7 +220,8 @@ def diagonal(s: Matrix) -> list[int]:
 class LatticeSolver:
     """The sublattice of Z^n spanned by a set of generator vectors, held in
     integer row-echelon (Hermite) form: one sparse row per pivot column,
-    the least column where the row is nonzero."""
+    the least column where the row is nonzero.  Every reduction works on
+    the solver's own copy of the vector, in place."""
 
     def __init__(self, n: int):
         self.n = n
@@ -233,12 +237,12 @@ class LatticeSolver:
                 return
             a, b = erow[pivot], row[pivot]
             if b % a == 0:
-                row = axpy(row, erow, -(b // a))
+                _reduce(row, 1, erow, b // a)
             else:
                 # replace the echelon row by the gcd combination
                 g, x, y = _xgcd(a, b)
                 self.rows[pivot] = _combine(erow, x, row, y)
-                row = _combine(erow, -(b // g), row, a // g)
+                _reduce(row, a // g, erow, b // g)
 
     def _to_sparse(self, vec) -> dict[int, int]:
         if isinstance(vec, dict):
@@ -248,26 +252,52 @@ class LatticeSolver:
         return {j: x for j, x in enumerate(vec) if x}
 
     def contains(self, vec) -> bool:
-        """Reduce vec by the echelon rows, pivots in increasing order.  It
-        lies outside at the first leading column that has no echelon row or
-        whose pivot entry does not divide it: the rows left have larger
-        pivots and cannot touch that column."""
-        row = self._to_sparse(vec)
-        while row:
-            pivot = min(row)
-            erow = self.rows.get(pivot)
-            if erow is None or row[pivot] % erow[pivot]:
-                return False
-            row = axpy(row, erow, -(row[pivot] // erow[pivot]))
-        return True
+        """Whether vec lies in the lattice."""
+        return self.least_multiple(vec, 1) == 1
 
     def least_multiple(self, vec, bound: int) -> int | NoneUpTo:
-        """Least n in [1, bound] with n*vec in the lattice."""
+        """Least n in [1, bound] with n*vec in the lattice, from one
+        reduction of vec by the echelon rows, pivots in increasing order.
+
+        The n with n*vec in the lattice form an ideal of Z.  Say the reduced
+        row r = n*vec - l, l in the lattice, has least column p, and every
+        n' in the ideal is a multiple of n, as it is for n = 1.  Then n' =
+        k*n is in the ideal iff k*r is in the lattice.  The lattice vectors
+        that vanish below column p are the combinations of the echelon rows
+        with pivots >= p, so their entry at p is a multiple of the pivot
+        entry a of the echelon row e at p, and is 0 when p has no echelon
+        row.  So with b = r[p] != 0 no multiple of vec is in the lattice when
+        p has no echelon row, and otherwise a | k*b, that is s | k for s =
+        |a| / gcd(a, b).  Then n*s divides every n' in the ideal, and r' =
+        s*r - (s*b/a)*e, which vanishes up to column p, is n*s*vec less a
+        lattice vector.  When the row reaches zero, n*vec is in the lattice
+        and n divides every n' in the ideal, so n is the least.  n only
+        grows, so once it exceeds bound no n <= bound is in the ideal."""
         row = self._to_sparse(vec)
-        for n in range(1, bound + 1):
-            if self.contains({j: n * x for j, x in row.items()}):
-                return n
-        return NoneUpTo(bound)
+        n = 1
+        while row and n <= bound:
+            pivot = min(row)
+            erow = self.rows.get(pivot)
+            if erow is None:
+                return NoneUpTo(bound)
+            a, b = erow[pivot], row[pivot]
+            s = abs(a) // math.gcd(a, b)
+            n *= s
+            _reduce(row, s, erow, s * b // a)
+        return n if n <= bound else NoneUpTo(bound)
+
+
+def _reduce(row: dict[int, int], s: int, erow: dict[int, int], q: int):
+    """row <- s*row - q*erow in place, zero entries dropped."""
+    if s != 1:
+        for j in row:
+            row[j] *= s
+    for j, x in erow.items():
+        val = row.get(j, 0) - q * x
+        if val:
+            row[j] = val
+        else:
+            del row[j]
 
 
 def axpy(a: dict[int, int], b: dict[int, int], q: int = 1) -> dict[int, int]:

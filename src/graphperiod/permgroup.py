@@ -6,12 +6,13 @@ order and membership come from a deterministic Schreier-Sims stabilizer
 chain; orders are plain Python ints, hence arbitrary precision.
 
 Every permutation that enters or leaves this module is a tuple (Perm).
-Inside, the element enumeration and the cyclic-subgroup scan work on keys:
-for degree <= 256 the key of p is bytes(p), and p.translate(table(g)),
-with table(g) = bytes(g) padded to 256 bytes, is mul(g, p) computed in C.
-Bytes compare like tuples of ints below 256 and cache their hash.  For a
-larger degree a point does not fit in a byte, so the key is the tuple and
-the product is itemgetter(*p)(g); _Codec hides which of the two is used.
+Inside, every product runs on keys: the stabilizer chain, the element
+enumeration, the random words and the cyclic-subgroup scan.  For degree
+<= 256 the key of p is bytes(p), and p.translate(table(g)), with table(g)
+= bytes(g) padded to 256 bytes, is mul(g, p) computed in C.  Bytes compare
+like tuples of ints below 256 and cache their hash.  For a larger degree a
+point does not fit in a byte, so the key is the tuple and the product is
+itemgetter(*p)(g); _Codec hides which of the two is used.
 """
 
 from __future__ import annotations
@@ -29,20 +30,26 @@ Perm = tuple[int, ...]
 class _Codec:
     """Keys of one degree: encode(p) is the key of a Perm or key p,
     table(p) is what apply(key) takes, and apply(key)(table(g)) is the key
-    of mul(g, key).  tuple(key) decodes a key of either kind."""
+    of mul(g, key); inverse_table(p) is table(inverse(p)) as apply reads
+    it.  tuple(key) decodes a key of either kind."""
 
-    __slots__ = ("encode", "table", "apply")
+    __slots__ = ("encode", "table", "apply", "inverse_table")
 
     def __init__(self, degree: int):
         if degree <= 256:
             pad = bytes(256 - degree)
+            points = bytes(range(degree))
             self.encode = bytes
             self.table = lambda p: bytes(p) + pad
             self.apply = attrgetter("translate")
+            # maketrans sends p[i] to i and every byte >= degree to itself,
+            # which no key holds
+            self.inverse_table = lambda p: bytes.maketrans(bytes(p), points)
         else:
             self.encode = tuple
             self.table = tuple
             self.apply = lambda p: itemgetter(*p)
+            self.inverse_table = inverse
 
 
 class NotPrime(ValueError):
@@ -101,16 +108,20 @@ def perm_power(p: Perm, k: int) -> Perm:
 
 
 class _ChainLevel:
+    """One level of the stabilizer chain, on keys (see the module
+    docstring): the strong generators stored here as (key, table) pairs,
+    and for every point pt of the base's orbit its coset representative's
+    key, transversal[pt], and the table of that representative's inverse,
+    inverses[pt], stored with it since a representative never changes."""
+
     __slots__ = ("base", "gens", "transversal", "inverses", "processed")
 
-    def __init__(self, base: int, ident: Perm):
+    def __init__(self, base: int, ident, ident_table):
         self.base = base
-        self.gens: list[Perm] = []
-        self.transversal: dict[int, Perm] = {base: ident}
-        # inverses[pt] is transversal[pt]^-1, stored with the representative,
-        # which never changes once stored
-        self.inverses: dict[int, Perm] = {base: ident}
-        self.processed: set[tuple[int, Perm]] = set()
+        self.gens: list[tuple] = []
+        self.transversal: dict = {base: ident}
+        self.inverses: dict = {base: ident_table}
+        self.processed: set = set()
 
 
 class PermutationGroup:
@@ -127,6 +138,7 @@ class PermutationGroup:
     is stored at the level where its sift stopped, and the levels from there
     up to the one being completed are completed again (Seress, Permutation
     Group Algorithms, 4.2).  self.generators keeps the input generators.
+    The chain holds keys and tables, so every product in it is one apply.
     """
 
     def __init__(self, degree: int, generators: list[Perm]):
@@ -142,25 +154,29 @@ class PermutationGroup:
             if g != self._identity and g not in gens:
                 gens.append(g)
         self.generators: tuple[Perm, ...] = tuple(gens)
+        self._codec = codec = _Codec(degree)
+        self._ident_key = codec.encode(self._identity)
         self._levels: list[_ChainLevel] = []
         for g in self.generators:
-            residue, stop = self._sift_from(g, 0)
-            if residue != self._identity:
+            residue, stop = self._sift_from(codec.encode(g), 0)
+            if residue != self._ident_key:
                 self._insert(residue, stop, 0)
 
-    # --- Schreier-Sims ---------------------------------------------------
+    # --- Schreier-Sims, on keys --------------------------------------------
 
-    def _gens_from(self, i: int) -> list[Perm]:
+    def _gens_from(self, i: int) -> list[tuple]:
+        """The (key, table) pairs of the i-th stabilizer's generators."""
         return [g for level in self._levels[i:] for g in level.gens]
 
-    def _insert(self, residue: Perm, stop: int, top: int):
+    def _insert(self, residue, stop: int, top: int):
         """Store a non-trivial sift residue at level stop, where its sift
         stopped (a new last level if it passed every level), then complete
         levels stop down to top again."""
+        codec = self._codec
         if stop == len(self._levels):
             base = next(i for i, x in enumerate(residue) if x != i)
-            self._levels.append(_ChainLevel(base, self._identity))
-        self._levels[stop].gens.append(residue)
+            self._levels.append(_ChainLevel(base, self._ident_key, codec.table(self._ident_key)))
+        self._levels[stop].gens.append((residue, codec.table(residue)))
         for j in range(stop, top - 1, -1):
             self._complete(j)
 
@@ -168,32 +184,37 @@ class PermutationGroup:
         """Grow the orbit of base_i under the i-th stabilizer generators,
         keeping existing coset representatives stable."""
         level = self._levels[i]
+        transversal, inverses = level.transversal, level.inverses
+        apply, inverse_table = self._codec.apply, self._codec.inverse_table
         gens = self._gens_from(i)
-        frontier = sorted(level.transversal)
+        frontier = sorted(transversal)
         while frontier:
             nxt = []
             for pt in frontier:
-                rep = level.transversal[pt]
-                for g in gens:
+                times_rep = apply(transversal[pt])
+                for g, table in gens:
                     img = g[pt]
-                    if img not in level.transversal:
-                        level.transversal[img] = new = mul(g, rep)
-                        level.inverses[img] = inverse(new)
+                    if img not in transversal:
+                        transversal[img] = new = times_rep(table)
+                        inverses[img] = inverse_table(new)
                         nxt.append(img)
             frontier = nxt
 
-    def _sift_from(self, p: Perm, start: int) -> tuple[Perm, int]:
-        """Reduce p through levels start.. ; returns (residue, stop level)."""
-        for i in range(start, len(self._levels)):
-            level = self._levels[i]
+    def _sift_from(self, p, start: int) -> tuple:
+        """Reduce the key p through levels start.. ; returns (residue key,
+        stop level)."""
+        apply = self._codec.apply
+        levels = self._levels
+        for i in range(start, len(levels)):
+            level = levels[i]
             img = p[level.base]
             if img == level.base:
                 continue
             rep_inv = level.inverses.get(img)
             if rep_inv is None:
                 return p, i
-            p = mul(rep_inv, p)
-        return p, len(self._levels)
+            p = apply(p)(rep_inv)
+        return p, len(levels)
 
     def _complete(self, i: int):
         """Establish the Schreier condition at level i and below: every
@@ -201,21 +222,22 @@ class PermutationGroup:
         if i >= len(self._levels):
             return
         level = self._levels[i]
+        apply, ident = self._codec.apply, self._ident_key
         while True:
             self._extend_transversal(i)
             added = False
             for pt in sorted(level.transversal):
-                rep = level.transversal[pt]
-                for g in self._gens_from(i):
+                times_rep = apply(level.transversal[pt])
+                for g, table in self._gens_from(i):
                     key = (pt, g)
                     if key in level.processed:
                         continue
                     level.processed.add(key)
-                    schreier = mul(level.inverses[g[pt]], mul(g, rep))
-                    if schreier == self._identity:
+                    schreier = apply(times_rep(table))(level.inverses[g[pt]])
+                    if schreier == ident:
                         continue
                     residue, stop = self._sift_from(schreier, i + 1)
-                    if residue != self._identity:
+                    if residue != ident:
                         self._insert(residue, stop, i + 1)
                         added = True
                         break
@@ -235,8 +257,8 @@ class PermutationGroup:
     def contains(self, p: Perm) -> bool:
         if len(p) != self.degree:
             return False
-        residue, _ = self._sift_from(p, 0)
-        return residue == self._identity
+        residue, _ = self._sift_from(self._codec.encode(p), 0)
+        return residue == self._ident_key
 
     def enumerate_elements(self) -> list[Perm]:
         """All elements in deterministic BFS order; callers compare order()
@@ -247,11 +269,11 @@ class PermutationGroup:
         new products join the next frontier in that order.  The walk runs
         on keys (see the module docstring) and decodes them at the end.
         """
-        return [tuple(key) for key in self._element_keys(_Codec(self.degree))]
+        return [tuple(key) for key in self._element_keys()]
 
-    def _element_keys(self, codec: _Codec) -> list:
+    def _element_keys(self) -> list:
         """The keys of enumerate_elements(), in the same order."""
-        ident = codec.encode(identity(self.degree))
+        codec, ident = self._codec, self._ident_key
         tables = [codec.table(g) for g in self.generators]
         seen = {ident}
         out = [ident]
@@ -272,11 +294,11 @@ class PermutationGroup:
         return out
 
     @cached_property
-    def _generators_and_inverses(self) -> tuple[_Codec, tuple[tuple, ...]]:
-        """The codec of this degree and the (table(g), table(g^-1)) pair of
-        every generator g, for _random_key."""
-        codec = _Codec(self.degree)
-        return codec, tuple((codec.table(g), codec.table(inverse(g))) for g in self.generators)
+    def _generators_and_inverses(self) -> tuple[tuple, ...]:
+        """The (table(g), table(g^-1)) pair of every generator g, for
+        _random_key."""
+        codec = self._codec
+        return tuple((codec.table(g), codec.inverse_table(g)) for g in self.generators)
 
     def random_element(self, rng: Random, word_length: int) -> Perm:
         """A word of 1 to word_length generators or inverses, multiplied
@@ -286,8 +308,8 @@ class PermutationGroup:
     def _random_key(self, rng: Random, word_length: int):
         """The key (see the module docstring) of random_element's word; the
         identity's, drawing nothing, when there are no generators."""
-        codec, tables = self._generators_and_inverses
-        p = codec.encode(identity(self.degree))
+        codec, tables = self._codec, self._generators_and_inverses
+        p = self._ident_key
         if not tables:
             return p
         for _ in range(rng.randint(1, word_length)):
@@ -317,10 +339,10 @@ def cyclic_subgroups(
     of each new element once, by repeated products with its table, and
     decodes only the representatives it records.
     """
-    codec = _Codec(group.degree)
+    codec = group._codec
     complete = group.order() <= config.max_enum
     if complete:
-        elements = group._element_keys(codec)
+        elements = group._element_keys()
     else:
         rng = Random(config.seed)
         elements = [codec.encode(g) for g in group.generators]
@@ -329,7 +351,7 @@ def cyclic_subgroups(
 
     # <q> is already recorded exactly when q generates a recorded subgroup,
     # i.e. is some power r^k, gcd(k, |r|) = 1, of a recorded generator r.
-    ident = codec.encode(identity(group.degree))
+    ident = group._ident_key
     found: list[tuple[bytes | Perm, int]] = [(ident, 1)]
     generators: set = {ident}
     # part_orders[m]: m, then its prime-power parts r^e unless m is one

@@ -316,13 +316,45 @@ def test_intervals_period_lower_bound_bounds_the_index():
     assert _bounds(intervals_from_certificates([])) == [(1, 0), (1, 0)]
 
 
+def _proved_by_printed_certificates(printed: dict) -> dict:
+    """The period and index intervals that the certificates of a printed
+    report prove, derived here from the JSON alone: each certificate is a
+    lower bound (lcm) or an upper bound (gcd) of its target, SylowExact is
+    also an upper bound of the period, then the period takes the index's
+    upper bound and the index the period's lower bound.  An upper bound of
+    0 means none; resolved means lower == upper != 0."""
+    bounds = {target: {"lower": 1, "upper": 0} for target in ("period", "index")}
+    for cert in printed["certificates"]:
+        divisor = int(cert["divisor"])
+        slot = bounds[cert["target"]]
+        if cert["direction"] == "lower":
+            slot["lower"] = slot["lower"] * divisor // math.gcd(slot["lower"], divisor)
+        else:
+            slot["upper"] = math.gcd(slot["upper"], divisor)
+        if cert["rule"] == "SylowExact":
+            bounds["period"]["upper"] = math.gcd(bounds["period"]["upper"], divisor)
+    period, index = bounds["period"], bounds["index"]
+    period["upper"] = math.gcd(period["upper"], index["upper"])
+    index["lower"] = index["lower"] * period["lower"] // math.gcd(index["lower"], period["lower"])
+    for slot in bounds.values():
+        assert slot["upper"] % slot["lower"] == 0
+        slot["resolved"] = slot["upper"] != 0 and slot["lower"] == slot["upper"]
+    return bounds
+
+
 @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
 def test_printed_intervals_are_what_the_certificates_prove(name):
     g = catalog.builtin(name)
     for seed in range(2):
-        report = analyze(g, Config(seed=seed))
-        period, index = intervals_from_certificates(report.certificates)
-        assert (period, index) == (report.period, report.index), seed
+        printed = analyze(g, Config(seed=seed)).to_json_dict()
+        proved = _proved_by_printed_certificates(printed)
+        for target in ("period", "index"):
+            shown = printed[target]
+            assert {
+                "lower": int(shown["lower"]),
+                "upper": int(shown["upper"]),
+                "resolved": shown["resolved"],
+            } == proved[target], (seed, target)
 
 
 def test_divisor_interval_soundness_error():
@@ -604,16 +636,30 @@ def _per_vertex_loop_summand(lattice, sigma, loop):
 SCAN_LIMIT = 400
 
 
-def _candidate_loops(g, limit=None):
-    """(lattice, sigma, candidate loops) for every cyclic subgroup <sigma>
-    != 1 of Aut(g) that the scan at Config() visits, in its order (largest
-    order first), the first `limit` of them."""
+def _unfiltered_loops(lattice, sigma, m):
+    """_scan_loops_for_sigma as it was before it screened orbit sums by
+    their edge-cycle coefficients: every orbit sum built with norm."""
+    g = lattice.graph
+    nv = len(g.vertices)
+    moved = [v for v in range(nv) if sigma.vperm[v] != v]
+    for orbit in orbits(nv, [sigma.vperm], moved):
+        yield norm(sigma, m, tree_path(g, orbit[0], sigma.vperm[orbit[0]]))
+    for z in lattice.basis:
+        yield norm(sigma, m, z)
+        if chain_action(sigma, z) == z:
+            yield z
+
+
+def _candidate_loops(g, limit=None, stream=_scan_loops_for_sigma):
+    """(lattice, sigma, candidate loops from stream) for every cyclic
+    subgroup <sigma> != 1 of Aut(g) that the scan at Config() visits, in its
+    order (largest order first), the first `limit` of them."""
     lattice = fundamental_cycle_basis(g)
     pairs, _ = cyclic_subgroups(automorphism_group(g), Config())
     pairs = [(p, order) for p, order in sorted(pairs, key=lambda t: (-t[1], t[0])) if order > 1]
     for perm, order in pairs[:limit]:
         sigma = from_combined(g, perm)
-        yield lattice, sigma, _scan_loops_for_sigma(lattice, sigma, order)
+        yield lattice, sigma, stream(lattice, sigma, order)
 
 
 def _random_graphs(seeds, per_seed):
@@ -635,15 +681,49 @@ def _limit(g):
 )
 def test_tiling_from_the_walk_matches_the_per_vertex_search(g):
     """The loop-summand rule returns what the per-vertex segment search
-    returned, reason strings included, on every candidate the scan makes."""
+    returned, reason strings included, on every candidate the scan made
+    before it screened orbit sums."""
     tested = 0
-    for lattice, sigma, loops in _candidate_loops(g, _limit(g)):
+    for lattice, sigma, loops in _candidate_loops(g, _limit(g), _unfiltered_loops):
         for loop in loops:
             assert period_lower_loop_summand(lattice, sigma, loop) == (
                 _per_vertex_loop_summand(lattice, sigma, loop)
             ), (sigma.to_json_dict(), loop)
             tested += 1
     assert tested > 0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [catalog.builtin(name) for name in catalog.BUILTIN_NAMES] + _random_graphs(range(4), 5),
+    ids=lambda g: g.name,
+)
+def test_screened_orbit_sums_are_not_simple_cycles(g):
+    """The scan's stream is the unfiltered stream less some orbit sums, in
+    the same order, and each one it drops has an entry other than +-1 and
+    gets "loop is not a simple cycle", while every one it keeps has only
+    entries +-1; so the first certifying loop of every sigma is the
+    unfiltered stream's."""
+    dropped = 0
+    for lattice, sigma, loops in _candidate_loops(g, _limit(g), _unfiltered_loops):
+        kept = list(_scan_loops_for_sigma(lattice, sigma, sigma.order()))
+        assert all(abs(x) == 1 for loop in kept for x in loop.values())
+        i = 0
+        for loop in loops:
+            if i < len(kept) and loop == kept[i]:
+                i += 1
+                continue
+            dropped += 1
+            assert any(abs(x) != 1 for x in loop.values()), (sigma.to_json_dict(), loop)
+            assert period_lower_loop_summand(lattice, sigma, loop) == (
+                NotApplicable("loop is not a simple cycle")
+            )
+        assert i == len(kept), sigma.to_json_dict()
+        assert _first_certifying(lattice, sigma, kept) == _first_certifying(
+            lattice, sigma, _unfiltered_loops(lattice, sigma, sigma.order())
+        )
+    if g.name == "soccer-doubled":
+        assert dropped > 0
 
 
 @pytest.mark.parametrize(

@@ -201,3 +201,99 @@ def test_contains_matches_smith_membership_for_every_multiple():
             target = [n * x for x in c]
             in_span = isinstance(minimal_multiple_snf(d, target, bound=1), tuple)
             assert solver.contains(target) == in_span, (d, c, n)
+
+
+def _reduces_to_zero(solver, vec):
+    """LatticeSolver.contains as it was before it became least_multiple(vec,
+    1) == 1: reduce a copy by the echelon rows, pivots in increasing order,
+    failing at a pivot with no row or an entry the row's does not divide."""
+    row = {j: x for j, x in enumerate(vec) if x}
+    while row:
+        pivot = min(row)
+        erow = solver.rows.get(pivot)
+        if erow is None or row[pivot] % erow[pivot]:
+            return False
+        q = row[pivot] // erow[pivot]
+        for j, x in erow.items():
+            val = row.get(j, 0) - q * x
+            if val:
+                row[j] = val
+            else:
+                row.pop(j, None)
+    return True
+
+
+def _least_multiple_n_by_n(solver, vec, bound):
+    """least_multiple as it was before it took one reduction: the membership
+    test repeated for n = 1, 2, ..., bound."""
+    for n in range(1, bound + 1):
+        if _reduces_to_zero(solver, [n * x for x in vec]):
+            return n
+    return NoneUpTo(bound)
+
+
+def test_least_multiple_matches_the_n_by_n_search():
+    """On random integer lattices, for targets in the rational span, random
+    targets, the zero target and targets outside the span, the one-pass
+    least multiple equals the n-by-n search, at a bound equal to the answer
+    and one below it too; no reduction changes an echelon row."""
+    rng = Random(20)
+    checked = {"zero": 0, "outside": 0, "found": 0, "above 1": 0}
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 5)
+        # columns scaled by 2, 3 or 6 leave the lattice short of its
+        # saturation, so least multiples above 1 are common
+        scale = [rng.choice([1, 2, 3, 6]) for _ in range(cols)]
+        d = [[s * rng.randint(-6, 6) for s in scale] for _ in range(rows)]
+        # a last row of zeros, so a target nonzero there is outside the span
+        d.append([0] * cols)
+        solver = LatticeSolver(rows + 1)
+        for j in range(cols):
+            solver.add_generator([row[j] for row in d])
+        echelon = {pivot: dict(row) for pivot, row in solver.rows.items()}
+        kind = rng.choice(["span", "random", "zero", "outside"])
+        if kind == "span":
+            c = matvec(d, [rng.randint(-3, 3) for _ in range(cols)])
+            g = gcd(*c)
+            c = [x // g for x in c] if g else c
+        elif kind == "zero":
+            c = [0] * (rows + 1)
+        else:
+            c = [rng.randint(-4, 4) for _ in range(rows)] + [0]
+            if kind == "outside":
+                c[-1] = rng.choice([-2, -1, 1, 3])
+        bound = 60
+        expected = _least_multiple_n_by_n(solver, c, bound)
+        assert solver.least_multiple(c, bound) == expected, (d, c)
+        if not any(c):
+            assert expected == 1
+            checked["zero"] += 1
+        if c[-1]:
+            assert expected == NoneUpTo(bound)
+            checked["outside"] += 1
+        if isinstance(expected, int):
+            checked["found"] += 1
+            checked["above 1"] += expected > 1
+            assert solver.least_multiple(c, expected) == expected
+            assert solver.least_multiple(c, expected - 1) == NoneUpTo(expected - 1)
+            assert _least_multiple_n_by_n(solver, c, expected - 1) == NoneUpTo(expected - 1)
+        assert solver.contains(c) == _reduces_to_zero(solver, c) == (expected == 1)
+        assert solver.rows == echelon
+    assert all(count >= 20 for count in checked.values()), checked
+
+
+def test_add_generator_and_least_multiple_leave_the_callers_vectors_alone():
+    rng = Random(5)
+    solver = LatticeSolver(6)
+    for _ in range(30):
+        vec = {j: rng.randint(-5, 5) for j in rng.sample(range(6), rng.randint(1, 6))}
+        listed = [rng.randint(-5, 5) for _ in range(6)]
+        before, listed_before = dict(vec), list(listed)
+        solver.add_generator(vec)
+        solver.add_generator(listed)
+        solver.least_multiple(vec, 20)
+        solver.least_multiple(listed, 20)
+        assert vec == before and list(vec.items()) == list(before.items())
+        assert listed == listed_before
+    # the echelon rows are the solver's own dicts, none of them the caller's
+    assert all(row is not vec for row in solver.rows.values())

@@ -10,7 +10,6 @@ from graphperiod.permgroup import (
     NotPrime,
     PermutationGroup,
     SylowGrowthStalled,
-    _ChainLevel,
     _Codec,
     _factor,
     cyclic_subgroups,
@@ -366,10 +365,22 @@ def test_soccer_sampled_scan_matches_the_unskipped_loop(aut_soccer):
 # --- the stabilizer chain against the constructor it replaced ---------------
 
 
-class _UnsiftedChain(PermutationGroup):
+class _UnsiftedLevel:
+    __slots__ = ("base", "gens", "transversal", "inverses", "processed")
+
+    def __init__(self, base, ident):
+        self.base = base
+        self.gens = []
+        self.transversal = {base: ident}
+        self.inverses = {base: ident}
+        self.processed = set()
+
+
+class _UnsiftedChain:
     """The Schreier-Sims constructor before residues went to the level where
-    their sift stopped: every input generator is stored at level 0 and every
-    Schreier residue of level i at level i + 1."""
+    their sift stopped, and before the chain ran on keys: every input
+    generator is stored at level 0 and every Schreier residue of level i at
+    level i + 1, and every permutation is a tuple multiplied with mul."""
 
     def __init__(self, degree, generators):
         self.degree = degree
@@ -384,11 +395,42 @@ class _UnsiftedChain(PermutationGroup):
             self._store(g, 0)
         self._complete(0)
 
+    def _gens_from(self, i):
+        return [g for level in self._levels[i:] for g in level.gens]
+
     def _store(self, p, slot):
         if slot == len(self._levels):
             base = next(i for i, x in enumerate(p) if x != i)
-            self._levels.append(_ChainLevel(base, self._identity))
+            self._levels.append(_UnsiftedLevel(base, self._identity))
         self._levels[slot].gens.append(p)
+
+    def _extend_transversal(self, i):
+        level = self._levels[i]
+        gens = self._gens_from(i)
+        frontier = sorted(level.transversal)
+        while frontier:
+            nxt = []
+            for pt in frontier:
+                rep = level.transversal[pt]
+                for g in gens:
+                    img = g[pt]
+                    if img not in level.transversal:
+                        level.transversal[img] = new = mul(g, rep)
+                        level.inverses[img] = inverse(new)
+                        nxt.append(img)
+            frontier = nxt
+
+    def _sift_from(self, p, start):
+        for i in range(start, len(self._levels)):
+            level = self._levels[i]
+            img = p[level.base]
+            if img == level.base:
+                continue
+            rep_inv = level.inverses.get(img)
+            if rep_inv is None:
+                return p, i
+            p = mul(rep_inv, p)
+        return p, len(self._levels)
 
     def _complete(self, i):
         if i >= len(self._levels):
@@ -418,9 +460,23 @@ class _UnsiftedChain(PermutationGroup):
             if not added:
                 return
 
+    def order(self):
+        return math.prod(len(level.transversal) for level in self._levels)
+
+    def contains(self, p):
+        return len(p) == self.degree and self._sift_from(p, 0)[0] == self._identity
+
 
 def _strong_generators(group):
-    return [(level.base, level.gens) for level in group._levels]
+    """(base, strong generators) of every level, the generators decoded from
+    their keys; each stored table is the table of its key."""
+    codec = _Codec(group.degree)
+    out = []
+    for level in group._levels:
+        for key, table in level.gens:
+            assert table == codec.table(key)
+        out.append((level.base, [tuple(key) for key, _ in level.gens]))
+    return out
 
 
 def _assert_same_group_as_unsifted(group, rng, samples=30):
@@ -460,6 +516,23 @@ def test_chain_agrees_with_unsifted_constructor(name):
             _assert_same_group_as_unsifted(sylow, rng)
 
 
+def test_chain_on_tuple_keys_past_degree_256():
+    """Degree 300 is past the byte codec, so the chain runs on tuple keys,
+    which no builtin reaches (soccer-doubled has degree 180): two disjoint
+    150-cycles generate Z/150 x Z/150."""
+    a = tuple((i + 1) % 150 if i < 150 else i for i in range(300))
+    b = tuple(i if i < 150 else 150 + (i - 149) % 150 for i in range(300))
+    group = PermutationGroup(300, [a, b])
+    assert group.order() == 22_500
+    assert all(type(key) is tuple for level in group._levels for key in level.transversal.values())
+    assert group.contains(mul(perm_power(a, 7), perm_power(b, 131)))
+    # every member a^i b^j that fixes point 2 has i = 0 and fixes 0 too
+    swapped = list(range(300))
+    swapped[0], swapped[1] = 1, 0
+    assert not group.contains(tuple(swapped))
+    _assert_same_group_as_unsifted(group, Random(300), samples=5)
+
+
 @pytest.mark.parametrize("name", ["doubled-k4", "hybrid", "soccer-doubled"])
 def test_redundant_generator_leaves_the_strong_generators_alone(name, aut_soccer):
     group = aut_soccer if name == "soccer-doubled" else automorphism_group(catalog.builtin(name))
@@ -478,8 +551,9 @@ def test_soccer_strong_generating_set_stays_small(aut_soccer):
 
 def test_soccer_build_inverts_each_representative_once(aut_soccer, monkeypatch):
     """Transversal representatives never change once stored, so the chain
-    stores each one's inverse with it and inverts nothing else: the build
-    calls inverse at most once per transversal entry."""
+    stores the table of each one's inverse with it and inverts nothing
+    else: the build calls inverse at most once per transversal entry.  The
+    keys and tables are decoded to check every stored pair."""
     from graphperiod import permgroup
 
     calls = []
@@ -492,7 +566,11 @@ def test_soccer_build_inverts_each_representative_once(aut_soccer, monkeypatch):
     for level in group._levels:
         assert level.inverses.keys() == level.transversal.keys()
         for pt, rep in level.transversal.items():
-            assert mul(level.inverses[pt], rep) == ident
+            # the key decodes to the representative, the first degree bytes
+            # of its inverse's table to the inverse
+            rep = tuple(rep)
+            assert rep[level.base] == pt
+            assert mul(tuple(level.inverses[pt][: group.degree]), rep) == ident
     assert group.order() == aut_soccer.order()
     _assert_same_group_as_unsifted(group, Random(3))
 
