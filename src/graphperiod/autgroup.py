@@ -55,15 +55,11 @@ class GraphAutomorphism:
         nv = len(self.graph.vertices)
         return tuple(self.vperm) + tuple(nv + x for x in self.eperm)
 
-    def edge_sign(self, edge_idx: int) -> int:
-        """+1 if the reference orientation is preserved (tail maps to tail)."""
-        t, _ = self.graph.edge_ends_idx[edge_idx]
-        it, _ = self.graph.edge_ends_idx[self.eperm[edge_idx]]
-        return 1 if self.vperm[t] == it else -1
-
     @cached_property
     def signed_eperm(self) -> tuple[tuple[int, int], ...]:
-        """(image edge, edge_sign) for every edge, in edge-index order."""
+        """(image edge, sign) for every edge, in edge-index order; the sign
+        is +1 if the reference orientation is preserved (tail maps to
+        tail), else -1."""
         ends, vperm = self.graph.edge_ends_idx, self.vperm
         return tuple(
             (x, 1 if vperm[ends[k][0]] == ends[x][0] else -1) for k, x in enumerate(self.eperm)
