@@ -23,13 +23,15 @@ calculus.  A breadth-first spanning tree of the Cayley graph of H under
 left multiplication by X names each h by a word w_h; every non-tree edge
 (x, h) gives the relator x w_h = w_{xh}, and these |H|(|X| - 1) + 1
 relators present H.  In the extension of H by M that c defines, lift x to
-(m_x, x).  Relator (x, h) then evaluates to its tail
-tau = x.V_h + c(x, h) - V_{xh}, with V_{xh} = x.V_h + c(x, h) along the
-tree, plus the Fox Jacobian sum_y (x A_{h,y} + [x = y] - A_{xh,y}) m_y.
-The class is trivial exactly when some choice of the m_y kills every
-relator, so its order is the least n with n*tau in the span of the
-Jacobian columns: |X| * rank columns over one row per relator and
-coordinate, built from |X| * |H| cocycle values.
+(m_x, x).  One walk down the tree carries W_h = [A_{h,y} ... | V_h], the
+Fox matrices and the tail, by W_{xh} = x W_h + E(x, h), where E(x, h) is
+the identity in block x and c(x, h) last.  Relator (x, h) then evaluates
+to its defect x W_h + E(x, h) - W_{xh}: the Fox Jacobian
+sum_y (x A_{h,y} + [x = y] - A_{xh,y}) m_y plus its tail tau.  The class
+is trivial exactly when some choice of the m_y kills every relator, so its
+order is the least n with n*tau in the span of the Jacobian columns:
+|X| * rank columns over one row per relator and coordinate, built from
+|X| * |H| cocycle values.
 
 The inhomogeneous bar complex (restrict, then class_order_bar) computes the
 same order from all |H|^2 cocycle values; it is kept only as the oracle's
@@ -54,7 +56,7 @@ from .homology import (
     orbit_sum_coefficients,
     tree_path,
 )
-from .intlinalg import LatticeSolver, Matrix, NoneUpTo, axpy, matmul, matvec
+from .intlinalg import LatticeSolver, Matrix, NoneUpTo, axpy, matmul, zeros
 from .permgroup import Perm, PermutationGroup, _factor, mul, sylow_subgroup
 
 
@@ -235,21 +237,20 @@ def cayley_presentation(group: PermutationGroup) -> tuple[list[Perm], list[Edge]
     return elements, tree, relators
 
 
-def _fox_step(action: Matrix, a_h: Matrix, same: bool) -> Matrix:
-    """x . A_{h,y} + [x = y] I: the Fox derivative of x w_h by y."""
-    out = matmul(action, a_h)
-    if same:
-        for i, row in enumerate(out):
-            row[i] += 1
-    return out
-
-
-def _fox_block(action: Matrix, a_h: Matrix, a_xh: Matrix, same: bool) -> Matrix:
-    """The Jacobian block of relator x w_h = w_{xh} for the unknown m_y."""
-    out = _fox_step(action, a_h, same)
-    for row, sub in zip(out, a_xh):
-        for j, v in enumerate(sub):
-            row[j] -= v
+def _cayley_step(
+    action: Matrix, x: int, w_h: Matrix, value: list[int], w_xh: Matrix | None = None
+) -> Matrix:
+    """x . W_h + E(x, h) - W_{xh}, value = c(x, h): along a tree edge (w_xh
+    None) it defines W_{xh}; on a relator it is the defect, Jacobian rows
+    then tail."""
+    g = len(action)
+    out = matmul(action, w_h)
+    for r, row in enumerate(out):
+        row[x * g + r] += 1
+        row[-1] += value[r]
+        if w_xh is not None:
+            for j, v in enumerate(w_xh[r]):
+                row[j] -= v
     return out
 
 
@@ -259,39 +260,30 @@ def class_order_presented(lattice: CycleLattice, group: PermutationGroup) -> int
     [1, |H|] with n * (tails) in the span of the Fox Jacobian columns.
     |H| annihilates H^2, so |H| is a valid search bound.
 
+    W_h holds A_{h,y} e_b in column y*g + b and V_h last, with W_1 = 0.
     Row i*g + r is coordinate r of relator i; column y*g + b is basis
-    vector b of the unknown m_y.
+    vector b of the unknown m_y.  Both the columns and the target are
+    scattered from one defect per relator.
     """
     g = lattice.rank
     elements, tree, relators = cayley_presentation(group)
     autos = [from_combined(lattice.graph, p) for p in elements]
     gens = [from_combined(lattice.graph, q) for q in group.generators]
     actions = [lattice.action_matrix(x) for x in gens]
-    ys = range(len(gens))
-    tails: list[list[int]] = [[0] * g for _ in elements]  # V_h
-    fox: list[list[Matrix]] = [[] for _ in elements]  # A_{h,y}
-    fox[0] = [[[0] * g for _ in range(g)] for _ in ys]
-
-    def lift(x: int, h: int) -> list[int]:
-        """x . V_h + c(x, h)"""
+    width = len(gens) * g
+    walk: list[Matrix] = [zeros(g, width + 1)]  # W_h; tree discovers h in order
+    for x, h, _ in tree:
         value = lattice.coordinates(cocycle_chain(lattice, gens[x], autos[h]))
-        return [a + b for a, b in zip(matvec(actions[x], tails[h]), value)]
-
-    for x, h, xh in tree:
-        tails[xh] = lift(x, h)
-        fox[xh] = [_fox_step(actions[x], fox[h][y], x == y) for y in ys]
-    target: dict[int, int] = {}
-    columns: list[dict[int, int]] = [{} for _ in range(len(gens) * g)]
+        walk.append(_cayley_step(actions[x], x, walk[h], value))
+    columns: list[dict[int, int]] = [{} for _ in range(width + 1)]  # then the tails
     for i, (x, h, xh) in enumerate(relators):
-        for r, (lifted, known) in enumerate(zip(lift(x, h), tails[xh])):
-            if lifted != known:
-                target[i * g + r] = lifted - known
-        for y in ys:
-            block = _fox_block(actions[x], fox[h][y], fox[xh][y], x == y)
-            for r, row in enumerate(block):
-                for b, v in enumerate(row):
-                    if v:
-                        columns[y * g + b][i * g + r] = v
+        value = lattice.coordinates(cocycle_chain(lattice, gens[x], autos[h]))
+        defect = _cayley_step(actions[x], x, walk[h], value, walk[xh])
+        for r, row in enumerate(defect):
+            for j, v in enumerate(row):
+                if v:
+                    columns[j][i * g + r] = v
+    target = columns.pop()
     solver = LatticeSolver(len(relators) * g)
     for col in columns:
         solver.add_generator(col)

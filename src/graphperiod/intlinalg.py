@@ -16,8 +16,8 @@ the tests and the oracle hold the Hermite routes to them.
 Everything is plain Python ints (arbitrary precision); there is no floating
 point anywhere.  Matrices are lists of row lists.  The lattice solver takes
 and keeps vectors sparse (dict coordinate -> value): its long columns come
-built as dicts, the Fox Jacobian of a Sylow subgroup's presentation (one
-row per relator and coordinate) and, in the oracle, the bar complex.
+built as dicts, the Fox Jacobian a Sylow subgroup's Cayley-tree walk
+scatters (one row per relator and coordinate) and the oracle's bar complex.
 """
 
 from __future__ import annotations

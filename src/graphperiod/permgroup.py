@@ -428,31 +428,36 @@ def sylow_subgroup(
     A p-part y of a random element joins the p-subgroup P built so far when
     it is not in P and <P, y> still has p-power order; the stabilizer chain
     certifies every order, so randomness only costs draws, never
-    correctness.  Growth stops at the p-part of |G|; when 10 000 draws do
-    not reach it, SylowGrowthStalled names the word-length budget.  Then
-    each generator, last to first, is dropped if the others generate it,
-    which leaves an irredundant generating set: class_order_presented
-    costs grow with it.
+    correctness.  200 draws in a row without growth restart it from the
+    trivial subgroup.  Growth stops at the p-part of |G|; when 10 000 draws
+    do not reach it, SylowGrowthStalled names the largest order reached and
+    the word-length budget.  Then each generator, last to first, is dropped
+    if the others generate it, which leaves an irredundant generating set:
+    class_order_presented costs grow with it.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     target = p_part(group.order(), p)
-    sub = PermutationGroup(group.degree, [])
+    trivial = PermutationGroup(group.degree, [])
+    sub, largest, grew = trivial, 1, 0
     rng = Random(config.seed)
     draws = 10_000
-    for _ in range(draws):
+    for draw in range(draws):
         if sub.order() == target:
             break
+        if draw - grew == 200:
+            sub, grew = trivial, draw
         y = group.random_element(rng, config.max_word_length)
         m = element_order(y)
         y = perm_power(y, m // p_part(m, p))
         if not sub.contains(y):
             grown = PermutationGroup(group.degree, [*sub.generators, y])
             if p_part(grown.order(), p) == grown.order():
-                sub = grown
+                sub, grew = grown, draw + 1
+                largest = max(largest, sub.order())
     if sub.order() != target:
         raise SylowGrowthStalled(
-            f"Sylow {p}-subgroup growth stalled at order {sub.order()} of {target} "
+            f"Sylow {p}-subgroup growth stalled at order {largest} of {target} "
             f"({draws} words of length <= max_word_length {config.max_word_length})"
         )
     gens = list(sub.generators)

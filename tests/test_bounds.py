@@ -42,7 +42,7 @@ from graphperiod.homology import (
 )
 from graphperiod.intlinalg import LatticeSolver, axpy
 from graphperiod.multigraph import Edge, Multigraph
-from graphperiod.permgroup import cyclic_subgroups, orbits
+from graphperiod.permgroup import cyclic_subgroups, orbits, sylow_subgroup
 
 from util import vertex_cycle_automorphism
 
@@ -256,10 +256,11 @@ class TestAnalyze:
         rules = [ (c["rule"], c["divisor"]) for c in doc["certificates"] ]
         assert rules == sorted(rules)
 
-    @pytest.mark.parametrize("seed,word_length", [(1, 3), (3, 3), (0, 1)])
-    def test_stalled_sylow_growth_only_widens(self, seed, word_length):
-        # short words do not reach the order-16 Sylow 2-subgroup at these
-        # seeds; the report omits SylowExact and names the budget instead
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stalled_sylow_growth_only_widens(self, seed):
+        # one-letter words do not reach the order-16 Sylow 2-subgroup at any
+        # seed; the report omits SylowExact and names the budget instead
+        word_length = 1
         g = catalog.builtin("doubled-cycle-g3")
         config = Config(max_word_length=word_length, seed=seed)
         report = analyze(g, config)
@@ -269,6 +270,18 @@ class TestAnalyze:
             "exact class order not computed: Sylow 2-subgroup growth stalled at "
             f"order 8 of 16 (10000 words of length <= max_word_length {word_length})"
         ]
+        assert all(verify_certificate(g, c, config) for c in report.certificates)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_restarted_sylow_growth_converges(self, seed):
+        # three-letter words stall at order 8 at these seeds until growth
+        # restarts from the trivial subgroup after 200 idle draws
+        g = catalog.builtin("doubled-cycle-g3")
+        config = Config(max_word_length=3, seed=seed)
+        assert sylow_subgroup(automorphism_group(g), 2, config).order() == 16
+        report = analyze(g, config)
+        assert report.status == []
+        assert [c.divisor for c in report.certificates if c.rule == "SylowExact"] == [2]
         assert all(verify_certificate(g, c, config) for c in report.certificates)
 
 

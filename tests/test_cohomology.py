@@ -22,7 +22,7 @@ from graphperiod.cohomology import (
     restrict,
 )
 from graphperiod.homology import boundary, chain_action, fundamental_cycle_basis
-from graphperiod.intlinalg import axpy
+from graphperiod.intlinalg import LatticeSolver, axpy, matmul, matvec
 from graphperiod.config import Config
 from graphperiod.permgroup import (
     PermutationGroup,
@@ -310,6 +310,84 @@ def test_presented_order_on_trivial_group():
     g, lattice = make_lattice("k5")
     trivial = PermutationGroup(len(g.vertices) + len(g.edges), [])
     assert class_order_presented(lattice, trivial) == 1
+
+
+def _fox_step(action, a_h, same):
+    """x . A_{h,y} + [x = y] I: the Fox derivative of x w_h by y."""
+    out = matmul(action, a_h)
+    if same:
+        for i, row in enumerate(out):
+            row[i] += 1
+    return out
+
+
+def _fox_block(action, a_h, a_xh, same):
+    """The Jacobian block of relator x w_h = w_{xh} for the unknown m_y."""
+    out = _fox_step(action, a_h, same)
+    for row, sub in zip(out, a_xh):
+        for j, v in enumerate(sub):
+            row[j] -= v
+    return out
+
+
+def _fox_matrix_route(lattice, group):
+    """class_order_presented as it was before the single Cayley-tree walk:
+    the tails V_h and one g x g Fox matrix A_{h,y} per element and
+    generator from two recurrences, and the relator blocks built apart."""
+    g = lattice.rank
+    elements, tree, relators = cayley_presentation(group)
+    autos = [from_combined(lattice.graph, p) for p in elements]
+    gens = [from_combined(lattice.graph, q) for q in group.generators]
+    actions = [lattice.action_matrix(x) for x in gens]
+    ys = range(len(gens))
+    tails = [[0] * g for _ in elements]
+    fox = [[] for _ in elements]
+    fox[0] = [[[0] * g for _ in range(g)] for _ in ys]
+
+    def lift(x, h):
+        value = lattice.coordinates(cocycle_chain(lattice, gens[x], autos[h]))
+        return [a + b for a, b in zip(matvec(actions[x], tails[h]), value)]
+
+    for x, h, xh in tree:
+        tails[xh] = lift(x, h)
+        fox[xh] = [_fox_step(actions[x], fox[h][y], x == y) for y in ys]
+    target = {}
+    columns = [{} for _ in range(len(gens) * g)]
+    for i, (x, h, xh) in enumerate(relators):
+        for r, (lifted, known) in enumerate(zip(lift(x, h), tails[xh])):
+            if lifted != known:
+                target[i * g + r] = lifted - known
+        for y in ys:
+            block = _fox_block(actions[x], fox[h][y], fox[xh][y], x == y)
+            for r, row in enumerate(block):
+                for b, v in enumerate(row):
+                    if v:
+                        columns[y * g + b][i * g + r] = v
+    solver = LatticeSolver(len(relators) * g)
+    for col in columns:
+        solver.add_generator(col)
+    return solver.least_multiple(target, len(elements))
+
+
+def test_walk_equals_the_fox_matrix_route():
+    # every builtin Sylow subgroup of order <= 64 at Sylow seeds 0-2,
+    # soccer's of order 3 and 5 included, and the order-128/256 ones at
+    # seed 0: the walk's columns and target are the old route's vectors,
+    # so the orders must agree everywhere
+    checked = 0
+    for name in catalog.BUILTIN_NAMES:
+        g, lattice = make_lattice(name)
+        group = automorphism_group(g)
+        for p in range(2, 257):
+            pk = p_part(group.order(), p)
+            if not is_prime(p) or not 1 < pk <= 256:
+                continue
+            for seed in range(3 if pk <= 64 else 1):
+                sub = sylow_subgroup(group, p, Config(seed=seed))
+                walk = class_order_presented(lattice, sub)
+                assert walk == _fox_matrix_route(lattice, sub), (name, p, seed)
+                checked += 1
+    assert checked == 49
 
 
 @pytest.mark.parametrize(

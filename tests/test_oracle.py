@@ -50,14 +50,17 @@ def _presentation_fault_failures(monkeypatch, name, faulty) -> list[str]:
 
 
 def test_injected_fox_sign_fault_is_caught(monkeypatch):
-    """Adding A_{xh,y} instead of subtracting it in the Jacobian block must
-    break the presentation-vs-bar equivalence on some instance."""
-    original = cohomology._fox_block
+    """Adding A_{xh,y} instead of subtracting it in a relator's Jacobian
+    rows, with its tail left alone, must break the presentation-vs-bar
+    equivalence on some instance."""
+    original = cohomology._cayley_step
 
-    def faulty(action, a_h, a_xh, same):
-        return original(action, a_h, [[-v for v in row] for row in a_xh], same)
+    def faulty(action, x, w_h, value, w_xh=None):
+        if w_xh is not None:
+            w_xh = [[-v for v in row[:-1]] + row[-1:] for row in w_xh]
+        return original(action, x, w_h, value, w_xh)
 
-    assert _presentation_fault_failures(monkeypatch, "_fox_block", faulty)
+    assert _presentation_fault_failures(monkeypatch, "_cayley_step", faulty)
 
 
 def test_injected_dropped_relator_is_caught(monkeypatch):
