@@ -9,11 +9,14 @@ each run's standard output is read, as the benchmark's JSON result.
 
 For every end-to-end metric of the change checkout's BENCHMARK.json it
 prints each side's median and quartiles and how many pairs the change won
-(ties count for neither side).  A gain holds when the change won at least
-nine tenths of the pairs and the medians differ by more than the distance
-between the parent's quartiles.  The last line of standard output is one
-JSON object with the same figures plus each side's per-pair values, the
-form a BENCH_<n>.json file collects.
+(ties count for neither side).  A gain holds when there are at least 10
+pairs, the change won at least nine tenths of them and the medians differ
+by more than the distance between the parent's quartiles.  A metric is
+worse when the change's median is worse than the parent's by more than the
+metric's bound in BENCHMARK.json, taken as a fraction of the parent's
+median.  The last line of standard output is one JSON object with the same
+figures plus each side's per-pair values, the form a BENCH_<n>.json file
+collects.
 
 Usage: python3 scripts/ab_bench.py --parent DIR --change DIR --workload W
        --pairs N --seed S [--seconds T]
@@ -86,7 +89,7 @@ def main() -> int:
 
     print(f"\nworkload {args.workload}, {args.pairs} pairs, {seconds:g} s runs")
     print(f"{'metric':<12} {'parent median [q1, q3]':<32} {'change median [q1, q3]':<32} "
-          f"{'change won':<11} gain")
+          f"{'change won':<11} {'gain':<5} worse")
     summary = {"workload": args.workload, "pairs": args.pairs, "seed": args.seed,
                "seconds": seconds, "metrics": {}}
     for m in metrics:
@@ -95,10 +98,13 @@ def main() -> int:
         sign = 1 if m["better"] == "lower" else -1
         won = sum(1 for p, c in zip(values["parent"], values["change"]) if sign * (p - c) > 0)
         pq, cq = quartiles(values["parent"]), quartiles(values["change"])
-        gain = won >= 0.9 * args.pairs and sign * (pq[1] - cq[1]) > pq[2] - pq[0]
+        gain = (args.pairs >= 10 and won >= 0.9 * args.pairs
+                and sign * (pq[1] - cq[1]) > pq[2] - pq[0])
+        worse = sign * (cq[1] - pq[1]) > m["bound"] * abs(pq[1])
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (pq, cq)]
         print(f"{name:<12} {cells[0]:<32} {cells[1]:<32} "
-              f"{f'{won}/{args.pairs}':<11} {'yes' if gain else 'no'}")
+              f"{f'{won}/{args.pairs}':<11} {'yes' if gain else 'no':<5} "
+              f"{'yes' if worse else 'no'}")
         summary["metrics"][name] = {
             "unit": m["unit"],
             "better": m["better"],
@@ -106,6 +112,7 @@ def main() -> int:
                for side, q in (("parent", pq), ("change", cq))},
             "change_won": won,
             "gain": gain,
+            "worse": worse,
         }
     print(json.dumps(summary))
     return 0

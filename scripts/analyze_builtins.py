@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Run the full analysis on every builtin graph, re-verify every certificate
-of each report against a fresh parse of the graph's JSON, and print a
-verdict table.
+of each report against a fresh parse of the graph's JSON and against the
+analyzed graph object, and print a verdict table.
 
-Verifying against the re-parsed graph, not the analyzed object, rebuilds
-the automorphism group and the BFS trees from the file form, so a report
-is checked the way a saved one would be.  Each row gives the analysis and
+Verifying against the re-parsed graph rebuilds the automorphism group, the
+BFS trees and the subgraph re-analyses from the file form, so a report is
+checked the way a saved one would be.  Verifying against the analyzed
+object is what library callers and the benchmark do: it reuses what
+analyze stored on that object (its group and BFS trees; never analyze's
+subgraph reports).  Each row gives the analysis and fresh-parse
 verification CPU seconds of this process (time.process_time, the clock
 the benchmark reports too; verification includes the group rebuild) and
-how many certificates failed to re-verify.  Exits 1 if any certificate is
-rejected.
+how many certificates failed to re-verify, counted over both objects.
+Exits 1 if any certificate is rejected.
 
 Usage: python scripts/analyze_builtins.py [--json] [caps...]
 
@@ -49,6 +52,7 @@ def main() -> int:
         fresh = parse_graph(g.to_json())
         rejected = sum(not verify_certificate(fresh, c, config) for c in report.certificates)
         verify_s = time.process_time() - start
+        rejected += sum(not verify_certificate(g, c, config) for c in report.certificates)
         total_rejected += rejected
         reports.append(report)
         if not args.json:

@@ -417,21 +417,44 @@ def propagate_subgraph(g: Multigraph, config: Config) -> tuple[list[Certificate]
     sub_config = _subgraph_config(config)
     for sub in invariant_subgraphs(g, config):
         report = analyze(sub, sub_config)
-        for target, interval in (("period", report.period), ("index", report.index)):
-            if interval.upper:
-                certs.append(_propagation_cert(sub, target, interval.upper))
+        certs.extend(_propagation_certs(sub, report))
         if report.status:
             status.extend(f"{sub.name}: {s}" for s in report.status)
     return certs, status
 
 
-def _propagation_cert(sub: Multigraph, target: str, upper: int) -> Certificate:
-    witness = {
-        "subgraph": sub.name,
-        "edges": [e.id for e in sub.edges],
-        "subgraph_bound": _json_int(upper),
-    }
-    return _certificate("SubgraphPropagation", upper, witness, target)
+def _propagation_certs(sub: Multigraph, report: BoundsReport) -> list[Certificate]:
+    """The period and index certificates that sub's report gives its ambient
+    graph: one per target with an established upper bound."""
+    certs = []
+    for target, interval in (("period", report.period), ("index", report.index)):
+        if interval.upper:
+            witness = {
+                "subgraph": sub.name,
+                "edges": [e.id for e in sub.edges],
+                "subgraph_bound": _json_int(interval.upper),
+            }
+            certs.append(_certificate("SubgraphPropagation", interval.upper, witness, target))
+    return certs
+
+
+def _reverified_propagation(g: Multigraph, name: object, config: Config) -> list[Certificate]:
+    """Both propagation certificates of g's invariant subgraph called name,
+    from one re-analysis under _subgraph_config(config).  The result is
+    stored on g keyed by (name, config), as automorphism_group stores Aut(g),
+    so the period and the index certificate share one analysis; analyze's
+    own subgraph reports are never read, and a fresh parse analyzes anew.
+    A name that is not a str gives [] and stores nothing; an exception
+    raised by the analysis (a SoundnessError) propagates and stores nothing."""
+    if not isinstance(name, str):
+        return []
+    memo = g.__dict__.setdefault("_reverified_propagation", {})
+    key = (name, config)
+    if key not in memo:
+        sub = next((s for s in invariant_subgraphs(g, config) if s.name == name), None)
+        memo[key] = [] if sub is None else _propagation_certs(
+            sub, analyze(sub, _subgraph_config(config)))
+    return memo[key]
 
 
 # --- scanning ----------------------------------------------------------------
@@ -668,9 +691,14 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config = Config
     The rules that need Aut(g) get it from automorphism_group, which builds
     it once per graph object, so all certificates of a report checked
     against the same g share one group, and a fresh parse of the graph
-    builds it anew.  A witness that does not decode against g (an unknown
-    id, a map that is not an automorphism, a chain that is not closed, a
-    missing or mistyped field) verifies False.  SoundnessError propagates.
+    builds it anew.  SubgraphPropagation re-analyzes the named subgraph
+    once per graph object and Config, and that one re-analysis gives both
+    the period and the index certificate of that subgraph; it is never
+    taken from analyze's own subgraph reports, and a fresh parse redoes it
+    (see _reverified_propagation).  A witness that does not decode against
+    g (an unknown id, a map that is not an automorphism, a chain that is
+    not closed, a missing or mistyped field) verifies False.
+    SoundnessError propagates.
     """
     if not isinstance(cert.witness, dict):
         return False
@@ -712,12 +740,7 @@ def _rebuild(g: Multigraph, cert: Certificate, config: Config) -> list[Certifica
             return []
         return [] if isinstance(exact, Unknown) else [_sylow_cert(*exact)]
     if rule == "SubgraphPropagation":
-        for sub in invariant_subgraphs(g, config):
-            if sub.name == w.get("subgraph"):
-                report = analyze(sub, _subgraph_config(config))
-                upper = (report.period if cert.target == "period" else report.index).upper
-                return [_propagation_cert(sub, cert.target, upper)] if upper else []
-        return []
+        return _reverified_propagation(g, w.get("subgraph"), config)
     try:
         sigma = from_json_dict(g, w.get("automorphism"))
     except ValueError:

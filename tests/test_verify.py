@@ -168,7 +168,10 @@ def test_witness_of_the_wrong_shape_is_rejected(reports):
 
 
 def test_soundness_error_propagates(reports, monkeypatch):
+    # a fresh parse: the fixture's object may already hold this
+    # certificate's re-analysis from an earlier test
     g, report = reports["hybrid"]
+    fresh = parse_graph(g.to_json())
     cert = cert_of(report, "SubgraphPropagation")
 
     def unsound(*args, **kwargs):
@@ -176,7 +179,47 @@ def test_soundness_error_propagates(reports, monkeypatch):
 
     monkeypatch.setattr(bounds, "analyze", unsound)
     with pytest.raises(SoundnessError):
-        verify_certificate(g, cert)
+        verify_certificate(fresh, cert)
+    # the failed re-analysis stored nothing: the real one runs and verifies
+    monkeypatch.undo()
+    assert verify_certificate(fresh, cert)
+
+
+def test_verify_analyzes_each_subgraph_once_per_graph_object(monkeypatch):
+    g = catalog.builtin("hybrid")
+    report = analyze(g, Config())
+    named = {c.witness["subgraph"] for c in report.certificates if c.rule == "SubgraphPropagation"}
+    assert len(named) == 2
+    calls = []
+    original = bounds.analyze
+
+    def counting(sub, config=Config()):
+        calls.append(sub.name)
+        return original(sub, config)
+
+    monkeypatch.setattr(bounds, "analyze", counting)
+    # analyze's own subgraph reports are not reused: the analyzed object
+    # re-analyzes each named subgraph once, and a fresh parse does it again
+    for target in (g, parse_graph(g.to_json())):
+        calls.clear()
+        assert all(verify_certificate(target, c) for c in report.certificates)
+        assert sorted(calls) == sorted(named)
+
+
+def test_subgraph_reanalysis_is_kept_per_config(reports):
+    # ROADMAP item 3's pair: union_cap=2 finds no such invariant subgraph
+    g, report = reports["hybrid"]
+    certs = [c for c in report.certificates if c.rule == "SubgraphPropagation"]
+    assert certs
+    for config, expected in ((Config(), True), (Config(union_cap=2), False), (Config(), True)):
+        assert all(verify_certificate(g, c, config) is expected for c in certs), config
+
+
+def test_subgraph_name_that_is_not_a_str_is_rejected(reports):
+    g, report = reports["hybrid"]
+    cert = cert_of(report, "SubgraphPropagation")
+    for name in ([cert.witness["subgraph"]], {cert.witness["subgraph"]: 1}, 0):
+        assert not verify_certificate(g, with_witness(cert, {**cert.witness, "subgraph": name}))
 
 
 def test_certificates_verify_at_deeper_subgraph_recursion():
