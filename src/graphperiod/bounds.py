@@ -499,21 +499,22 @@ def _cyclic_scan(
     test that could only yield a held divisor is skipped; a skipped sigma
     still counts as processed.
 
-    The cyclic restriction of sigma is skipped when a CyclicRestriction
-    certificate is held for every divisor d > 1 of its order: the
-    restricted class order divides |<sigma>|, so it is 1 or one of those d.
-
-    The loop rule certifies exactly m = |sigma|.  Its search for sigma is
-    skipped when a LoopSummand certificate for m is held, and when the
-    restriction was computed and is not m; it stops at the first loop that
-    certifies.  A loop certifies only where the restriction is m: say the
-    rule fires on L = N.s, where N = 1 + sigma + ... + sigma^(m-1), s is a
-    path from v to sigma(v), and phi is an invariant functional with
-    phi(L) = 1.  Let P be the tree path from the base point to its image
-    and q one from the base point to v.  Then N.P - L is N of the cycle
-    P - s - q + sigma(q), so it lies in N.M, and the restricted order n,
-    the least n with n.(N.P) in N.M, has n.L = N.y for some y in M.  So
-    n = phi(N.y) = m.phi(y), m | n, and n | m."""
+    The loop rule certifies exactly m = |sigma|.  A sigma is skipped whole
+    when a LoopSummand certificate for m and a CyclicRestriction
+    certificate for every divisor d > 1 of m are held: the restricted class
+    order divides m, so it is 1 or one of those d.  Otherwise the
+    restriction is computed first, also when its divisor is already held,
+    and the loop search runs exactly where it equals m and no LoopSummand
+    for m is held; the search stops at the first loop that certifies.  A
+    skipped search could not have certified, because a loop certifies only
+    where the restriction is m: say the rule fires on L = N.s, where
+    N = 1 + sigma + ... + sigma^(m-1), s is a path from v to sigma(v), and
+    phi is an invariant functional with phi(L) = 1.  Let P be the tree
+    path from the base point to its image and q one from the base point to
+    v.  Then N.P - L is N of the cycle P - s - q + sigma(q), so it lies in
+    N.M, and the restricted order n, the least n with n.(N.P) in N.M, has
+    n.L = N.y for some y in M.  So n = phi(N.y) = m.phi(y), m | n, and
+    n | m."""
     g = lattice.graph
     pairs, complete = cyclic_subgroups(automorphism_group(g), config)
     if not complete:
@@ -540,16 +541,15 @@ def _cyclic_scan(
             break
         processed += 1
         sigma = from_combined(g, perm)
-        held = all(
+        loop_held = ("LoopSummand", order) in seen
+        if loop_held and all(
             ("CyclicRestriction", d) in seen for d in range(2, order + 1) if order % d == 0
-        )
-        if not held:
-            n = cohomology.class_order_cyclic(lattice, sigma)
-            if n > 1:
-                push(_cyclic_cert(sigma, order, n))
-            if n != order:
-                continue
-        if ("LoopSummand", order) in seen:
+        ):
+            continue
+        n = cohomology.class_order_cyclic(lattice, sigma)
+        if n > 1:
+            push(_cyclic_cert(sigma, order, n))
+        if n != order or loop_held:
             continue
         for loop in _scan_loops_for_sigma(lattice, sigma, order):
             result = period_lower_loop_summand(lattice, sigma, loop)

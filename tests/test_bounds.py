@@ -481,6 +481,46 @@ def test_skipped_loop_searches_could_not_certify(name, monkeypatch):
     assert skipped > 0
 
 
+# hybrid's own scan searches no loop: its loop tests are on its invariant subgraphs
+@pytest.mark.parametrize("name,loop_tests", [("soccer-doubled", 5), ("hybrid", 2)])
+def test_loop_searches_run_only_where_the_restriction_is_the_order(name, loop_tests, monkeypatch):
+    """In one analyze at Config(), invariant subgraphs included, the scan
+    computes the restriction of every sigma right before it searches loops
+    for sigma, and that restriction is |sigma|; the analyze tests exactly
+    loop_tests candidate loops."""
+    from graphperiod import bounds, cohomology
+
+    g = catalog.builtin(name)
+    events, tests = [], []
+    real_class_order = cohomology.class_order_cyclic
+    real_scan_loops = bounds._scan_loops_for_sigma
+    real_loop_test = bounds.period_lower_loop_summand
+
+    def recording_class_order(lattice, sigma):
+        n = real_class_order(lattice, sigma)
+        events.append(("restriction", sigma.graph, sigma.combined, n))
+        return n
+
+    def recording_scan_loops(lattice, sigma, m):
+        events.append(("search", sigma.graph, sigma.combined, m))
+        return real_scan_loops(lattice, sigma, m)
+
+    def counting_loop_test(lattice, sigma, loop):
+        tests.append(sigma)
+        return real_loop_test(lattice, sigma, loop)
+
+    monkeypatch.setattr(cohomology, "class_order_cyclic", recording_class_order)
+    monkeypatch.setattr(bounds, "_scan_loops_for_sigma", recording_scan_loops)
+    monkeypatch.setattr(bounds, "period_lower_loop_summand", counting_loop_test)
+    _replay_scan(g, monkeypatch)
+    searches = [i for i, event in enumerate(events) if event[0] == "search"]
+    assert searches
+    for i in searches:
+        _, graph, _, m = events[i]
+        assert i > 0 and events[i - 1] == ("restriction", *events[i][1:]), (graph.name, m)
+    assert len(tests) == loop_tests
+
+
 def _per_edge_norm(sigma, m, chain):
     """norm as it was before orbit_sum_coefficients: the per-cycle sums
     expanded edge by edge in the same pass."""
@@ -546,7 +586,7 @@ def test_cyclic_restriction_matches_the_chain_route_on_the_scan(name, monkeypatc
     sigmas = [sigma for sigma in processed if sigma.combined in computed]
     assert len(sigmas) == len(computed)
     if name == "soccer-doubled":
-        assert len(sigmas) == 181
+        assert len(sigmas) == 290
     reversing = _check_against_the_chain_route(fundamental_cycle_basis(g), sigmas[:_limit(g)])
     if name == "soccer-doubled":
         assert reversing > 0
