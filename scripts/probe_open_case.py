@@ -42,8 +42,8 @@ def main() -> int:
     print(f"sampled {len(pairs)} cyclic subgroups (complete scan: {complete})")
     table = Counter()
     lower = 1
-    for perm, order in pairs:
-        sigma = from_combined(graph, perm)
+    for key, order in pairs:
+        sigma = from_combined(graph, key)
         n = class_order_cyclic(lattice, sigma)
         table[(order, n)] += 1
         lower = math.lcm(lower, n)

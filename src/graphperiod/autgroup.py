@@ -124,7 +124,9 @@ def identity_automorphism(g: Multigraph) -> GraphAutomorphism:
     )
 
 
-def from_combined(g: Multigraph, p: Perm) -> GraphAutomorphism:
+def from_combined(g: Multigraph, p: Perm | bytes) -> GraphAutomorphism:
+    """The automorphism whose combined permutation is p, given as a Perm
+    or as a permgroup byte key, which indexes to the same points."""
     nv = len(g.vertices)
     return GraphAutomorphism(
         g, tuple(p[:nv]), tuple(x - nv for x in p[nv:])

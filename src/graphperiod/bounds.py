@@ -492,8 +492,10 @@ def _scan_loops_for_sigma(lattice: CycleLattice, sigma: GraphAutomorphism, m: in
 def _cyclic_scan(
     lattice: CycleLattice, config: Config, certs: list[Certificate], status: list[str]
 ):
-    """Walk cyclic subgroups (largest order first), collecting cyclic
-    restriction orders and loop-summand certificates.  After scan_quota
+    """Walk cyclic subgroups in the order cyclic_subgroups returns them
+    (largest order first), collecting cyclic restriction orders and
+    loop-summand certificates.  Each representative stays a key until the
+    scan processes it; only then is sigma built.  After scan_quota
     subgroups the scan stops early once both intervals that certs prove
     are resolved.  Certificates are kept once per (rule, divisor), so a
     test that could only yield a held divisor is skipped; a skipped sigma
@@ -522,7 +524,6 @@ def _cyclic_scan(
             "cyclic-subgroup scan incomplete: |Aut| exceeds the enumeration cap; "
             f"sampled {len(pairs)} subgroups from seeded generator words"
         )
-    pairs = sorted(pairs, key=lambda t: (-t[1], t[0]))
     seen: set[tuple[str, int]] = set()
 
     def push(cert: Certificate):
@@ -532,7 +533,7 @@ def _cyclic_scan(
             certs.append(cert)
 
     processed = 0
-    for perm, order in pairs:
+    for key, order in pairs:
         if order == 1:
             continue
         if processed >= config.scan_quota and all(
@@ -540,7 +541,7 @@ def _cyclic_scan(
         ):
             break
         processed += 1
-        sigma = from_combined(g, perm)
+        sigma = from_combined(g, key)
         loop_held = ("LoopSummand", order) in seen
         if loop_held and all(
             ("CyclicRestriction", d) in seen for d in range(2, order + 1) if order % d == 0

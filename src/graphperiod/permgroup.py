@@ -5,7 +5,9 @@ left actions, mul(p, q)[i] = p[q[i]], so (p*q) acts by q first.  Group
 order and membership come from a deterministic Schreier-Sims stabilizer
 chain; orders are plain Python ints, hence arbitrary precision.
 
-Every permutation that enters or leaves this module is a tuple (Perm).
+Every permutation that enters this module is a tuple (Perm), and so is
+every one that leaves it, except the representatives cyclic_subgroups
+returns: those leave as keys, and the caller decodes only the ones it uses.
 Inside, every product runs on keys: the stabilizer chain, the element
 enumeration, the random words and the cyclic-subgroup scan.  For degree
 <= 256 the key of p is bytes(p), and p.translate(table(g)), with table(g)
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from random import Random
 
 from .config import Config
@@ -29,11 +31,11 @@ Perm = tuple[int, ...]
 
 class _Codec:
     """Keys of one degree: encode(p) is the key of a Perm or key p,
-    table(p) is what apply(key) takes, and apply(key)(table(g)) is the key
-    of mul(g, key); inverse_table(p) is table(inverse(p)) as apply reads
+    table(p) is what product takes, and product(key, table(g)) is the key
+    of mul(g, key); inverse_table(p) is table(inverse(p)) as product reads
     it.  tuple(key) decodes a key of either kind."""
 
-    __slots__ = ("encode", "table", "apply", "inverse_table")
+    __slots__ = ("encode", "table", "product", "inverse_table")
 
     def __init__(self, degree: int):
         if degree <= 256:
@@ -41,14 +43,14 @@ class _Codec:
             points = bytes(range(degree))
             self.encode = bytes
             self.table = lambda p: bytes(p) + pad
-            self.apply = attrgetter("translate")
+            self.product = bytes.translate
             # maketrans sends p[i] to i and every byte >= degree to itself,
             # which no key holds
             self.inverse_table = lambda p: bytes.maketrans(bytes(p), points)
         else:
             self.encode = tuple
             self.table = tuple
-            self.apply = lambda p: itemgetter(*p)
+            self.product = lambda p, t: itemgetter(*p)(t)
             self.inverse_table = inverse
 
 
@@ -138,7 +140,8 @@ class PermutationGroup:
     is stored at the level where its sift stopped, and the levels from there
     up to the one being completed are completed again (Seress, Permutation
     Group Algorithms, 4.2).  self.generators keeps the input generators.
-    The chain holds keys and tables, so every product in it is one apply.
+    The chain holds keys and tables, so every product in it is one codec
+    product.
     """
 
     def __init__(self, degree: int, generators: list[Perm]):
@@ -185,17 +188,17 @@ class PermutationGroup:
         keeping existing coset representatives stable."""
         level = self._levels[i]
         transversal, inverses = level.transversal, level.inverses
-        apply, inverse_table = self._codec.apply, self._codec.inverse_table
+        product, inverse_table = self._codec.product, self._codec.inverse_table
         gens = self._gens_from(i)
         frontier = sorted(transversal)
         while frontier:
             nxt = []
             for pt in frontier:
-                times_rep = apply(transversal[pt])
+                rep = transversal[pt]
                 for g, table in gens:
                     img = g[pt]
                     if img not in transversal:
-                        transversal[img] = new = times_rep(table)
+                        transversal[img] = new = product(rep, table)
                         inverses[img] = inverse_table(new)
                         nxt.append(img)
             frontier = nxt
@@ -203,7 +206,7 @@ class PermutationGroup:
     def _sift_from(self, p, start: int) -> tuple:
         """Reduce the key p through levels start.. ; returns (residue key,
         stop level)."""
-        apply = self._codec.apply
+        product = self._codec.product
         levels = self._levels
         for i in range(start, len(levels)):
             level = levels[i]
@@ -213,7 +216,7 @@ class PermutationGroup:
             rep_inv = level.inverses.get(img)
             if rep_inv is None:
                 return p, i
-            p = apply(p)(rep_inv)
+            p = product(p, rep_inv)
         return p, len(levels)
 
     def _complete(self, i: int):
@@ -222,18 +225,18 @@ class PermutationGroup:
         if i >= len(self._levels):
             return
         level = self._levels[i]
-        apply, ident = self._codec.apply, self._ident_key
+        product, ident = self._codec.product, self._ident_key
         while True:
             self._extend_transversal(i)
             added = False
             for pt in sorted(level.transversal):
-                times_rep = apply(level.transversal[pt])
+                rep = level.transversal[pt]
                 for g, table in self._gens_from(i):
                     key = (pt, g)
                     if key in level.processed:
                         continue
                     level.processed.add(key)
-                    schreier = apply(times_rep(table))(level.inverses[g[pt]])
+                    schreier = product(product(rep, table), level.inverses[g[pt]])
                     if schreier == ident:
                         continue
                     residue, stop = self._sift_from(schreier, i + 1)
@@ -272,22 +275,49 @@ class PermutationGroup:
         return [tuple(key) for key in self._element_keys()]
 
     def _element_keys(self) -> list:
-        """The keys of enumerate_elements(), in the same order."""
+        """The keys of enumerate_elements(), in the same order.
+
+        A product that is provably seen already is not formed.  Say the
+        frontier element p was first produced as t_i * q, with t_i the i-th
+        generator.  Then t_i * p is q when t_i^2 = 1, and for j < i with
+        t_i t_j = t_j t_i, t_j * p is t_i * r for r = t_j * q.  r was seen
+        before p: the walk tried t_j on q before t_i.  So r was expanded
+        before p, and every product of r was tried or skipped as seen, by
+        induction on the position in the walk.  A skipped product is never
+        new, so the walk adds the same elements in the same order as with
+        every product formed.  The commutation table costs about n^2
+        products for n generators, so it is built only where n^2 <= |G|;
+        otherwise every generator is tried on every element.
+        """
         codec, ident = self._codec, self._ident_key
+        product = codec.product
         tables = [codec.table(g) for g in self.generators]
+        n = len(tables)
+        every = list(enumerate(tables))
+        # tries[i]: the (j, table) pairs formed on an element first produced
+        # by generator i; tries[n] for the identity
+        tries = [every] * (n + 1)
+        if n * n <= self.order():
+            keys = [codec.encode(g) for g in self.generators]
+
+            def skipped(i: int, j: int) -> bool:
+                if j == i:
+                    return product(keys[i], tables[i]) == ident
+                return j < i and product(keys[j], tables[i]) == product(keys[i], tables[j])
+
+            tries[:n] = [[(j, t) for j, t in every if not skipped(i, j)] for i in range(n)]
         seen = {ident}
         out = [ident]
-        frontier = out[:]
+        frontier = [(ident, n)]
         while frontier:
             nxt = []
-            for p in frontier:
-                times_p = codec.apply(p)
-                for t in tables:
-                    q = times_p(t)
+            for p, i in frontier:
+                for j, t in tries[i]:
+                    q = product(p, t)
                     if q not in seen:
                         seen.add(q)
                         out.append(q)
-                        nxt.append(q)
+                        nxt.append((q, j))
             frontier = nxt
         if len(out) != self.order():
             raise AssertionError("enumeration disagrees with stabilizer chain")
@@ -316,14 +346,15 @@ class PermutationGroup:
             g, g_inv = rng.choice(tables)
             if rng.random() < 0.5:
                 g = g_inv
-            p = codec.apply(p)(g)
+            p = codec.product(p, g)
         return p
 
 
 def cyclic_subgroups(
     group: PermutationGroup, config: Config = Config()
-) -> tuple[list[tuple[Perm, int]], bool]:
-    """One representative generator per distinct cyclic subgroup.
+) -> tuple[list[tuple[bytes | Perm, int]], bool]:
+    """One representative generator per distinct cyclic subgroup, as a
+    (key, order) pair.
 
     If |G| <= config.max_enum the list is complete (deduplicated over all
     elements, in the order of enumerate_elements()).  Otherwise
@@ -332,14 +363,17 @@ def cyclic_subgroups(
     max_subgroups, and the second return value is False to flag the scan
     as incomplete.  Every prime-power power of a found element is
     included, so a single order-10 element also contributes its order-2
-    and order-5 subgroups.  The representatives are sorted by (order,
-    Perm).
+    and order-5 subgroups.  The pairs are sorted by order descending, then
+    key, the order bounds._cyclic_scan walks them in; keys of one degree
+    sort as the Perms they encode.
 
     The scan runs on keys (see the module docstring): it walks the powers
-    of each new element once, by repeated products with its table, and
-    decodes only the representatives it records.
+    of each new element once, one product with its table per power, and
+    leaves the representatives as keys; tuple(key) or
+    autgroup.from_combined decodes one.
     """
     codec = group._codec
+    product = codec.product
     complete = group.order() <= config.max_enum
     if complete:
         elements = group._element_keys()
@@ -354,8 +388,11 @@ def cyclic_subgroups(
     ident = group._ident_key
     found: list[tuple[bytes | Perm, int]] = [(ident, 1)]
     generators: set = {ident}
-    # part_orders[m]: m, then its prime-power parts r^e unless m is one
-    part_orders: dict[int, list[int]] = {}
+    # parts[m]: (k, step, exponents) for k = m, then for each prime-power
+    # part k = r^e of m unless m is one: an element p of order m has the
+    # part q = p^step of order k, step = m // k, and q^j = p^(j * step)
+    # generates <q> exactly when gcd(j, k) = 1; exponents lists those j * step
+    parts: dict[int, list[tuple[int, int, list[int]]]] = {}
     for p in elements:
         if p in generators:
             # Exact skip: <p> = <r> for a recorded r, and r's prime-power
@@ -369,29 +406,29 @@ def cyclic_subgroups(
         cur = p
         while cur != ident:
             powers.append(cur)
-            cur = codec.apply(cur)(table_p)
+            cur = product(cur, table_p)
         m = len(powers)
-        if m not in part_orders:
+        if m not in parts:
             factors = _factor(m)
-            part_orders[m] = [m] + ([r**e for r, e in factors.items()] if len(factors) > 1 else [])
-        for k in part_orders[m]:
+            orders = [m] + ([r**e for r, e in factors.items()] if len(factors) > 1 else [])
+            parts[m] = [
+                (k, m // k, [j * (m // k) for j in range(1, k) if math.gcd(j, k) == 1])
+                for k in orders
+            ]
+        for k, step, exponents in parts[m]:
             if not complete and len(found) >= config.max_subgroups:
-                return _decoded(found), False
-            # the part of order k is p^(m / k), and its power q^j = p^(j * step)
-            # generates <q> exactly when gcd(j, k) = 1
-            step = m // k
+                return _scan_order(found), False
             q = powers[step]
             if q in generators:
                 continue
             found.append((q, k))
-            generators.update(powers[j * step] for j in range(1, k) if math.gcd(j, k) == 1)
-    return _decoded(found), complete
+            generators.update(map(powers.__getitem__, exponents))
+    return _scan_order(found), complete
 
 
-def _decoded(found: list) -> list[tuple[Perm, int]]:
-    """(key, order) pairs sorted by (order, key), keys decoded to Perms;
-    keys of one degree sort as the Perms they encode."""
-    return [(tuple(q), m) for q, m in sorted(found, key=lambda t: (t[1], t[0]))]
+def _scan_order(found: list) -> list:
+    """(key, order) pairs sorted by order descending, then key."""
+    return sorted(found, key=lambda t: (-t[1], t[0]))
 
 
 def _factor(n: int) -> dict[int, int]:

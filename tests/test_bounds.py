@@ -461,6 +461,18 @@ def test_skipped_cyclic_restrictions_repeat_a_held_divisor(name, min_skipped, mo
     assert held == {c.divisor for c in report.certificates if c.rule == "CyclicRestriction"}
 
 
+def test_scan_builds_sigma_only_for_the_subgroups_it_processes(monkeypatch):
+    """cyclic_subgroups leaves hybrid's 16 864 representatives as byte
+    keys, in the scan's order; the scan builds sigma from a key only when
+    it processes it, which on hybrid itself is the first 64."""
+    g = catalog.builtin("hybrid")
+    pairs, complete = cyclic_subgroups(automorphism_group(g), Config())
+    assert complete and len(pairs) == 16_864
+    assert all(type(key) is bytes for key, _ in pairs)
+    _, processed, _ = _replay_scan(g, monkeypatch)
+    assert [sigma.combined for sigma in processed] == [tuple(key) for key, _ in pairs[:64]]
+
+
 @pytest.mark.parametrize("name", ["soccer-doubled", "hybrid"])
 def test_skipped_loop_searches_could_not_certify(name, monkeypatch):
     """Replay the scan's processed elements: for every sigma whose

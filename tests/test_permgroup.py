@@ -81,7 +81,7 @@ def test_cyclic_subgroups_trivial():
     G = PermutationGroup(3, [])
     pairs, complete = cyclic_subgroups(G, Config(max_enum=10))
     assert complete
-    assert pairs == [(identity(3), 1)]
+    assert pairs == [(bytes(identity(3)), 1)]
 
 
 def test_cyclic_subgroups_order_two_group():
@@ -89,7 +89,7 @@ def test_cyclic_subgroups_order_two_group():
     G = PermutationGroup(3, [swap])
     pairs, complete = cyclic_subgroups(G, Config(max_enum=10))
     assert complete
-    assert [m for _, m in pairs] == [1, 2]
+    assert pairs == [(bytes(swap), 2), (bytes(identity(3)), 1)]
 
 
 def test_cyclic_subgroups_k5_orders(aut_k5):
@@ -191,11 +191,18 @@ def _prime_power_parts(p):
     return [(p, m)] + [(perm_power(p, m // r**e), r**e) for r, e in factors.items()]
 
 
+def _in_scan_order(group, pairs):
+    """(Perm, order) pairs in cyclic_subgroups' form: keys, sorted by
+    order descending, then key."""
+    encode = _Codec(group.degree).encode
+    return sorted(((encode(q), m) for q, m in pairs), key=lambda t: (-t[1], t[0]))
+
+
 def _first_seen_reference(group):
     """Deduplicate <q> by the frozenset of its powers, over every element
     and its prime-power parts in enumeration order; checks that every
-    cyclic subgroup is seen and returns the first-seen representatives,
-    sorted as cyclic_subgroups sorts them."""
+    cyclic subgroup is seen and returns the first-seen representatives in
+    cyclic_subgroups' order and form."""
     elements = group.enumerate_elements()
     subgroup = {p: _generated(p) for p in elements}
     first_seen = {}
@@ -203,7 +210,7 @@ def _first_seen_reference(group):
         for q, m in _prime_power_parts(p):
             first_seen.setdefault(subgroup[q], (q, m))
     assert set(first_seen) == set(subgroup.values())
-    return sorted(first_seen.values(), key=lambda t: (t[1], t[0]))
+    return _in_scan_order(group, first_seen.values())
 
 
 # every builtin with |Aut| <= 10^6; test_bruteforce_covers_every_enumerable_builtin
@@ -225,7 +232,7 @@ def test_cyclic_subgroups_match_bruteforce(name):
     pairs, complete = cyclic_subgroups(group, Config(max_enum=10**6))
     assert complete
     assert pairs == _first_seen_reference(group)
-    assert all(element_order(q) == m == len(_generated(q)) for q, m in pairs)
+    assert all(element_order(q) == m == len(_generated(tuple(q))) for q, m in pairs)
 
 
 # --- the order every report depends on --------------------------------------
@@ -254,16 +261,71 @@ def _plain_bfs(group):
     return out
 
 
-@pytest.mark.parametrize("name", ["k5", "doubled-k4", "hybrid"])
+def _d4_and_a_transposition():
+    """D4 on the square 0-1-2-3 by the reflections (0 1)(2 3) and (1 3),
+    which do not commute, and the transposition (4 5), which commutes with
+    both; it sits between them, so a commuting pair falls on each side of
+    the non-commuting one.  All three are involutions."""
+    return PermutationGroup(6, [(1, 0, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4), (0, 3, 2, 1, 4, 5)])
+
+
+# groups outside the catalog, each built on demand
+_SMALL_GROUPS = {
+    "s4xc7-255": lambda: _top_point_group(255),
+    "s4xc7-256": lambda: _top_point_group(256),
+    "s4xc7-257": lambda: _top_point_group(257),
+    "d4-and-a-transposition": _d4_and_a_transposition,
+}
+
+
+@pytest.mark.parametrize("name", ENUMERABLE_BUILTINS + list(_SMALL_GROUPS))
 def test_enumerate_elements_is_the_plain_left_bfs(name, aut_hybrid):
-    group = aut_hybrid if name == "hybrid" else automorphism_group(catalog.builtin(name))
+    if name in _SMALL_GROUPS:
+        group = _SMALL_GROUPS[name]()
+    else:
+        group = aut_hybrid if name == "hybrid" else automorphism_group(catalog.builtin(name))
     assert group.enumerate_elements() == _plain_bfs(group)
+
+
+def test_d4_and_a_transposition_skips_on_both_rules():
+    group = _d4_and_a_transposition()
+    assert group.order() == 16
+    # n^2 = 9 <= 16, so the commutation table is built: 3 squares and 3
+    # pairs both ways are 9 products.  The walk then forms 23 of the plain
+    # BFS's 16 * 3 = 48: each element skips the square of the generator
+    # that produced it, and one produced by the transposition or by the
+    # second reflection also skips the earlier generator it commutes with.
+    assert _products_formed(group) == 9 + 23
+
+
+def _products_formed(group):
+    """How many codec products enumerate_elements() forms on a copy of
+    group, counted through the copy's codec."""
+    copy = PermutationGroup(group.degree, list(group.generators))
+    codec = _Codec(group.degree)
+    product, calls = codec.product, []
+    codec.product = lambda p, t: calls.append(1) or product(p, t)
+    copy._codec = codec
+    assert copy.enumerate_elements() == group.enumerate_elements()
+    return len(calls)
+
+
+def test_enumeration_forms_fewer_products_only_where_the_table_pays(aut_k5, aut_hybrid):
+    # k5: 119 generators for 120 elements, 119^2 > 120, so no commutation
+    # table: every generator is tried on every element
+    assert len(aut_k5.generators) == 119
+    assert _products_formed(aut_k5) == 120 * 119 == 14_280
+    # hybrid: 19 generators for 32 768 elements, 19^2 <= 32 768; the plain
+    # BFS forms 32 768 * 19 = 622 592 products, table included it is fewer
+    assert len(aut_hybrid.generators) == 19
+    assert _products_formed(aut_hybrid) < 32_768 * 19 == 622_592
 
 
 def _scan_without_skip(group, cap, seed, max_subgroups):
     """cyclic_subgroups' loop with no early skip: every element is visited
     together with all of its prime-power parts, itself a second time when
-    its order is a prime power."""
+    its order is a prime power.  Returns the pairs in cyclic_subgroups'
+    order and form."""
     complete = group.order() <= cap
     if complete:
         elements = group.enumerate_elements()
@@ -280,7 +342,7 @@ def _scan_without_skip(group, cap, seed, max_subgroups):
         parts = [(p, m)] + [(perm_power(p, m // r**e), r**e) for r, e in _factor(m).items()]
         for q, k in parts:
             if not complete and len(found) >= max_subgroups:
-                return sorted(found, key=lambda t: (t[1], t[0])), False
+                return _in_scan_order(group, found), False
             if q in generators:
                 continue
             found.append((q, k))
@@ -289,7 +351,7 @@ def _scan_without_skip(group, cap, seed, max_subgroups):
                 if math.gcd(j, k) == 1:
                     generators.add(cur)
                 cur = mul(q, cur)
-    return sorted(found, key=lambda t: (t[1], t[0])), complete
+    return _in_scan_order(group, found), complete
 
 
 @pytest.mark.parametrize("max_subgroups", [10, 50, 400])
@@ -306,9 +368,9 @@ def test_sampled_scan_truncates_where_the_unskipped_loop_does(aut_hybrid, max_su
 @pytest.mark.parametrize(
     "degree, gens, elements, pairs",
     [
-        (0, [], [()], [((), 1)]),
-        (1, [], [(0,)], [((0,), 1)]),
-        (2, [(1, 0)], [(0, 1), (1, 0)], [((0, 1), 1), ((1, 0), 2)]),
+        (0, [], [()], [(b"", 1)]),
+        (1, [], [(0,)], [(b"\x00", 1)]),
+        (2, [(1, 0)], [(0, 1), (1, 0)], [(b"\x01\x00", 2), (b"\x00\x01", 1)]),
     ],
 )
 def test_tiny_groups_enumerate_and_scan(degree, gens, elements, pairs):
@@ -346,14 +408,15 @@ def test_byte_key_boundary(degree):
     elements = group.enumerate_elements()
     assert elements == _plain_bfs(group)
     assert all(type(p) is tuple for p in elements)
+    key_type = tuple if degree > 256 else bytes
     pairs, complete = cyclic_subgroups(group, Config(max_enum=168))
     assert complete and pairs == _first_seen_reference(group)
-    assert all(type(q) is tuple for q, _ in pairs)
+    assert all(type(q) is key_type for q, _ in pairs)
     for seed, max_subgroups in ((0, 400), (1, 10)):
         config = Config(max_enum=100, seed=seed, max_subgroups=max_subgroups)
         got = cyclic_subgroups(group, config)
         assert got == _scan_without_skip(group, 100, seed, max_subgroups)
-        assert all(type(q) is tuple for q, _ in got[0])
+        assert all(type(q) is key_type for q, _ in got[0])
 
 
 def test_soccer_sampled_scan_matches_the_unskipped_loop(aut_soccer):
