@@ -231,7 +231,7 @@ def quotient_vertex_automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
         for b in candidates:
             # b = a comes first; a later b in a's orbit under what was found
             # below this node would only yield products of those automorphisms
-            if on_path and b != a and b in permgroup.orbits(n, found[start:], [a])[0]:
+            if on_path and b != a and b in permgroup.orbits(found[start:], [a])[0]:
                 continue
             nd, ni = list(cd), list(ci)
             nd[a] = tag

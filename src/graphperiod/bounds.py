@@ -24,7 +24,6 @@ from .autgroup import (
     from_combined,
     from_json_dict,
 )
-from .cohomology import Unknown
 from .config import Config
 from .homology import (
     Chain,
@@ -37,7 +36,7 @@ from .homology import (
 )
 from .intlinalg import axpy
 from .multigraph import GraphError, Multigraph, genus
-from .permgroup import SylowGrowthStalled, cyclic_subgroups, orbits
+from .permgroup import cyclic_subgroups, orbits
 
 # Every certificate rule, with the targets it bounds and its direction.
 RULES = {
@@ -261,16 +260,14 @@ def period_lower_loop_summand(
 # --- orbit-based index divisors --------------------------------------------
 
 
-def _edge_orbits(g: Multigraph) -> list[list[int]]:
+def _orbits(g: Multigraph) -> tuple[list[list[int]], list[list[int]]]:
+    """The vertex orbits and the edge orbits (edge indices) of Aut(g), each
+    sorted and ordered by least member.  Combined points list the vertices
+    first, so the vertex orbits come first."""
     group = automorphism_group(g)
     nv = len(g.vertices)
-    raw = orbits(group.degree, list(group.generators), list(range(nv, group.degree)))
-    return [[k - nv for k in orbit] for orbit in raw]
-
-
-def _vertex_orbits(g: Multigraph) -> list[list[int]]:
-    group = automorphism_group(g)
-    return orbits(group.degree, list(group.generators), list(range(len(g.vertices))))
+    both = orbits(list(group.generators), list(range(group.degree)))
+    return [o for o in both if o[0] < nv], [[k - nv for k in o] for o in both if o[0] >= nv]
 
 
 def _incident_vertices(g: Multigraph, edge_set: list[int]) -> set[int]:
@@ -353,8 +350,8 @@ def index_upper_divisors(
     union of edge orbits (an invariant subgraph), enumerated while
     2^#orbits stays within config.union_cap.  Orbit certificates are kept
     once per (kind, divisor)."""
-    eorbits = _edge_orbits(g)
-    candidates = _orbit_certs(g, eorbits, _vertex_orbits(g))
+    vorbits, eorbits = _orbits(g)
+    candidates = _orbit_certs(g, eorbits, vorbits)
     status = []
     unions = _orbit_unions(eorbits, config.union_cap)
     if unions is None:
@@ -378,7 +375,7 @@ def invariant_subgraphs(g: Multigraph, config: Config = Config()) -> list[Multig
     shape required for propagating bounds from a subgraph; none when the
     orbit unions exceed config.union_cap."""
     out = []
-    for combo, edges in _orbit_unions(_edge_orbits(g), config.union_cap) or []:
+    for combo, edges in _orbit_unions(_orbits(g)[1], config.union_cap) or []:
         if len(edges) == len(g.edges):
             continue
         edges = sorted(edges)
@@ -481,7 +478,7 @@ def _scan_loops_for_sigma(lattice: CycleLattice, sigma: GraphAutomorphism, m: in
             yield expand_orbit_sum(sigma, coefficients)
 
     moved = [v for v in range(nv) if sigma.vperm[v] != v]
-    for orbit in orbits(nv, [sigma.vperm], moved):
+    for orbit in orbits([sigma.vperm], moved):
         yield from orbit_sums(tree_path(g, orbit[0], sigma.vperm[orbit[0]]))
     for z in lattice.basis:
         yield from orbit_sums(z)
@@ -602,19 +599,11 @@ def analyze(g: Multigraph, config: Config = Config()) -> BoundsReport:
         certs.extend(sub_certs)
         status.extend(sub_status)
 
-    try:
-        exact = cohomology.class_order_exact(lattice, config)
-    except SylowGrowthStalled as stalled:
-        status.append(f"exact class order not computed: {stalled}")
+    exact = cohomology.class_order_exact(lattice, config)
+    if isinstance(exact, str):
+        status.append(f"exact class order not computed: {exact}")
     else:
-        if isinstance(exact, Unknown):
-            status.append(
-                "exact class order not computed: "
-                f"|Aut| = {exact.upper} against enumeration cap {config.max_enum} "
-                f"or a Sylow subgroup above bar cap {config.bar_cap}"
-            )
-        else:
-            certs.append(_sylow_cert(*exact))
+        certs.append(_sylow_cert(*exact))
 
     _cyclic_scan(lattice, config, certs, status)
 
@@ -722,9 +711,9 @@ def _rebuild(g: Multigraph, cert: Certificate, config: Config) -> list[Certifica
     if rule == "PeriodDividesIndex":
         return [_period_lower_cert(cert.divisor)]
     if rule == "OrbitSubgraph":
-        eorbits = _edge_orbits(g)
+        vorbits, eorbits = _orbits(g)
         if w.get("kind") not in ("orbit-union-edges", "orbit-union-vertices"):
-            return _orbit_certs(g, eorbits, _vertex_orbits(g))
+            return _orbit_certs(g, eorbits, vorbits)
         combo = w.get("orbits")
         if not (
             isinstance(combo, list)
@@ -735,11 +724,8 @@ def _rebuild(g: Multigraph, cert: Certificate, config: Config) -> list[Certifica
             return []
         return _orbit_union_certs(g, combo, _union_edges(eorbits, combo))
     if rule == "SylowExact":
-        try:
-            exact = cohomology.class_order_exact(homology.fundamental_cycle_basis(g), config)
-        except SylowGrowthStalled:
-            return []
-        return [] if isinstance(exact, Unknown) else [_sylow_cert(*exact)]
+        exact = cohomology.class_order_exact(homology.fundamental_cycle_basis(g), config)
+        return [] if isinstance(exact, str) else [_sylow_cert(*exact)]
     if rule == "SubgraphPropagation":
         return _reverified_propagation(g, w.get("subgraph"), config)
     try:

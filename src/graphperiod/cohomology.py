@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .autgroup import GraphAutomorphism, automorphism_group, from_combined, identity_automorphism
+from .autgroup import GraphAutomorphism, automorphism_group, from_combined
 from .config import Config
 from .homology import (
     Chain,
@@ -57,15 +57,7 @@ from .homology import (
     tree_path,
 )
 from .intlinalg import LatticeSolver, Matrix, NoneUpTo, axpy, matmul, zeros
-from .permgroup import Perm, PermutationGroup, _factor, mul, sylow_subgroup
-
-
-@dataclass(frozen=True)
-class Unknown:
-    """Exact class order not reachable under the caps; carries |G|, which
-    the order divides."""
-
-    upper: int
+from .permgroup import Perm, PermutationGroup, SylowGrowthStalled, _factor, mul, sylow_subgroup
 
 
 def path_chain(lattice: CycleLattice, sigma: GraphAutomorphism) -> Chain:
@@ -74,13 +66,13 @@ def path_chain(lattice: CycleLattice, sigma: GraphAutomorphism) -> Chain:
     return tree_path(lattice.graph, v0, sigma.vperm[v0])
 
 
-def cocycle_chain(lattice: CycleLattice, s: GraphAutomorphism, t: GraphAutomorphism) -> Chain:
-    """c(s, t) = P_s + s . P_t - P_st, a cycle of the lattice's graph.  It
-    depends on s and t only through their action and their images of v0,
-    so it needs no group bookkeeping."""
+def cocycle_chain(lattice: CycleLattice, s: GraphAutomorphism, w: int) -> Chain:
+    """c(s, t) = P_s + s . P_t - P_st for any t with t(v0) = w, a cycle of
+    the lattice's graph.  It depends on t only through w, so it needs no
+    group bookkeeping and no automorphism t."""
     g, v0 = lattice.graph, lattice.root
-    middle = chain_action(s, path_chain(lattice, t))
-    last = tree_path(g, v0, s.vperm[t.vperm[v0]])
+    middle = chain_action(s, tree_path(g, v0, w))
+    last = tree_path(g, v0, s.vperm[w])
     return axpy(axpy(path_chain(lattice, s), middle), last, -1)
 
 
@@ -100,15 +92,6 @@ class CocycleTable:
     actions: list[Matrix]
 
 
-def cyclic_group_elements(sigma: GraphAutomorphism) -> list[GraphAutomorphism]:
-    out = [identity_automorphism(sigma.graph)]
-    cur = sigma
-    while not cur.is_identity():
-        out.append(cur)
-        cur = sigma.compose(cur)
-    return out
-
-
 def restrict(lattice: CycleLattice, elements: list[GraphAutomorphism]) -> CocycleTable:
     """Tabulate the cocycle on a subgroup given by its full element list."""
     index = {a.combined: i for i, a in enumerate(elements)}
@@ -122,7 +105,7 @@ def restrict(lattice: CycleLattice, elements: list[GraphAutomorphism]) -> Cocycl
                 raise ValueError("element list is not closed under composition")
             prod[(i, j)] = index[key]
     values = {
-        (i, j): tuple(lattice.coordinates(cocycle_chain(lattice, a, b)))
+        (i, j): tuple(lattice.coordinates(cocycle_chain(lattice, a, b.vperm[lattice.root])))
         for i, a in enumerate(elements)
         for j, b in enumerate(elements)
     }
@@ -267,18 +250,19 @@ def class_order_presented(lattice: CycleLattice, group: PermutationGroup) -> int
     """
     g = lattice.rank
     elements, tree, relators = cayley_presentation(group)
-    autos = [from_combined(lattice.graph, p) for p in elements]
     gens = [from_combined(lattice.graph, q) for q in group.generators]
     actions = [lattice.action_matrix(x) for x in gens]
+
+    def value(x: int, h: int) -> list[int]:  # c(x, h) reads h only at v0
+        return lattice.coordinates(cocycle_chain(lattice, gens[x], elements[h][lattice.root]))
+
     width = len(gens) * g
     walk: list[Matrix] = [zeros(g, width + 1)]  # W_h; tree discovers h in order
     for x, h, _ in tree:
-        value = lattice.coordinates(cocycle_chain(lattice, gens[x], autos[h]))
-        walk.append(_cayley_step(actions[x], x, walk[h], value))
+        walk.append(_cayley_step(actions[x], x, walk[h], value(x, h)))
     columns: list[dict[int, int]] = [{} for _ in range(width + 1)]  # then the tails
     for i, (x, h, xh) in enumerate(relators):
-        value = lattice.coordinates(cocycle_chain(lattice, gens[x], autos[h]))
-        defect = _cayley_step(actions[x], x, walk[h], value, walk[xh])
+        defect = _cayley_step(actions[x], x, walk[h], value(x, h), walk[xh])
         for r, row in enumerate(defect):
             for j, v in enumerate(row):
                 if v:
@@ -302,7 +286,7 @@ class SylowOrder:
 
 def class_order_exact(
     lattice: CycleLattice, config: Config = Config()
-) -> tuple[int, list[SylowOrder]] | Unknown:
+) -> tuple[int, list[SylowOrder]] | str:
     """Exact order of the class in H^2(G, M), G = Aut of the lattice's
     graph, as the lcm of its restrictions to one Sylow subgroup per prime
     (restriction is injective on p-primary parts since corestriction .
@@ -310,32 +294,30 @@ def class_order_exact(
 
     Each restriction comes from the Cayley-graph presentation
     (class_order_presented) of the Sylow subgroup that sylow_subgroup grows
-    under config; its SylowGrowthStalled propagates.  Needs |G| within
-    config.max_enum and every Sylow subgroup of order at most
-    config.bar_cap; otherwise returns Unknown(|G|).  G itself is never enumerated, since sylow_subgroup grows
-    its subgroup from random elements.  The max_enum gate stays because
-    the analysis status line for Unknown names it, and that line is part
-    of pinned reports (soccer-doubled's); dropping the gate belongs with a
-    change that alters reports anyway, such as a higher bar_cap.
+    under config.  G itself is never enumerated, since sylow_subgroup grows
+    its subgroup from random elements, so the only cap is config.bar_cap on
+    every Sylow p-part.  Returns (order, parts), or the reason it was not
+    computed: that cap, or the text of SylowGrowthStalled.  The cap text
+    names config.max_enum, which gates nothing here, because the pinned
+    reports of soccer-doubled and six other builtins carry it; rewording
+    it belongs with a change that moves those reports anyway, such as a
+    higher default bar_cap.
     """
     group = automorphism_group(lattice.graph)
     order = group.order()
-    if order == 1:
-        return 1, []
-    primes = None if order > config.max_enum else _small_prime_parts(order, config.bar_cap)
-    if primes is None:
-        return Unknown(order)
+    primes = [(p, p**e) for p, e in _factor(order).items()]
+    if any(pk > config.bar_cap for _, pk in primes):
+        return (
+            f"|Aut| = {order} against enumeration cap {config.max_enum} "
+            f"or a Sylow subgroup above bar cap {config.bar_cap}"
+        )
     total = 1
     parts = []
-    for p, pk in primes:
-        n = class_order_presented(lattice, sylow_subgroup(group, p, config))
-        parts.append(SylowOrder(prime=p, subgroup_order=pk, class_order=n))
-        total = math.lcm(total, n)
+    try:
+        for p, pk in primes:
+            n = class_order_presented(lattice, sylow_subgroup(group, p, config))
+            parts.append(SylowOrder(prime=p, subgroup_order=pk, class_order=n))
+            total = math.lcm(total, n)
+    except SylowGrowthStalled as stalled:
+        return str(stalled)
     return total, parts
-
-
-def _small_prime_parts(order: int, bar_cap: int) -> list[tuple[int, int]] | None:
-    """(p, p-part) for every prime divisor, or None if some p-part exceeds
-    the bar cap."""
-    parts = [(p, p**e) for p, e in _factor(order).items()]
-    return None if any(pk > bar_cap for _, pk in parts) else parts

@@ -21,8 +21,8 @@ def _flag(default: int, help_text: str):
 class Config:
     # caps
     max_enum: int = _flag(
-        10**6, "element enumeration cap of the complete cyclic scan; also gates the "
-        "exact Sylow order, which enumerates nothing")
+        10**6, "element enumeration cap of the complete cyclic scan; above it the scan "
+        "is sampled")
     bar_cap: int = _flag(32, "largest Sylow subgroup order for the exact class order")
     union_cap: int = _flag(4096, "max edge-orbit unions enumerated")
     subgraph_depth: int = _flag(1, "invariant-subgraph recursion depth")

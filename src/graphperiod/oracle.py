@@ -92,8 +92,9 @@ def suite_cyclic_vs_bar(seed: int, instances: int = 50) -> list[str]:
             continue
         done += 1
         fast = cohomology.class_order_cyclic(lattice, sigma)
-        table = cohomology.restrict(lattice, cohomology.cyclic_group_elements(sigma))
-        slow = cohomology.class_order_bar(table)
+        cyclic = PermutationGroup(len(sigma.combined), [sigma.combined]).enumerate_elements()
+        autos = [autgroup.from_combined(g, p) for p in cyclic]
+        slow = cohomology.class_order_bar(cohomology.restrict(lattice, autos))
         if fast != slow:
             failures.append(
                 f"graph {g.name!r} sigma {sigma.to_json_dict()['vertex_map']}: "

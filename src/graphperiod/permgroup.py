@@ -505,7 +505,7 @@ def sylow_subgroup(
     return PermutationGroup(group.degree, gens)
 
 
-def orbits(degree: int, generators: list[Perm], points: list[int]) -> list[list[int]]:
+def orbits(generators: list[Perm], points: list[int]) -> list[list[int]]:
     """Orbits of the given points under the generated group, each sorted,
     ordered by smallest member."""
     remaining = set(points)

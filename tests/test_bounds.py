@@ -20,7 +20,7 @@ from graphperiod.bounds import (
     NotAClosedChain,
     NotApplicable,
     SoundnessError,
-    _edge_orbits,
+    _orbits,
     _loop_steps,
     _scan_loops_for_sigma,
     analyze,
@@ -186,7 +186,7 @@ class TestInvariantSubgraphs:
         # are enumerated, one below they are skipped by both, and the
         # orbit rule notes the skip exactly when no subgraph is returned
         g = catalog.builtin("hybrid")
-        n = len(_edge_orbits(g))
+        n = len(_orbits(g)[1])
         for cap, enumerated in ((2**n, True), (2**n - 1, False)):
             certs, status = index_upper_divisors(g, Config(union_cap=cap))
             subs = invariant_subgraphs(g, Config(union_cap=cap))
@@ -283,6 +283,20 @@ class TestAnalyze:
         assert report.status == []
         assert [c.divisor for c in report.certificates if c.rule == "SylowExact"] == [2]
         assert all(verify_certificate(g, c, config) for c in report.certificates)
+
+    @pytest.mark.parametrize("name,order", [("k5", 5), ("k34", 1)])
+    def test_sylow_exact_above_max_enum(self, name, order):
+        # |Aut| = 120 and 144 send the cyclic scan to sampling, but every
+        # Sylow p-part is within bar_cap, and max_enum gates no exact order
+        g = catalog.builtin(name)
+        config = Config(max_enum=100)
+        assert automorphism_group(g).order() > config.max_enum
+        report = analyze(g, config)
+        assert [c.divisor for c in report.certificates if c.rule == "SylowExact"] == [order]
+        assert all(verify_certificate(g, c, config) for c in report.certificates)
+        period, index = catalog.EXPECTED[name][1:]
+        assert (report.period.lower, report.period.upper) == period
+        assert (report.index.lower, report.index.upper) == index
 
 
 class TestCertificates:
@@ -581,7 +595,7 @@ def _check_against_the_chain_route(lattice, sigmas):
         )
         m = sigma.order()
         moved = [v for v in range(nv) if sigma.vperm[v] != v]
-        paths = [tree_path(g, o[0], sigma.vperm[o[0]]) for o in orbits(nv, [sigma.vperm], moved)]
+        paths = [tree_path(g, o[0], sigma.vperm[o[0]]) for o in orbits([sigma.vperm], moved)]
         for chain in [*lattice.basis, *paths, path_chain(lattice, sigma)]:
             assert norm(sigma, m, chain) == _per_edge_norm(sigma, m, chain)
         reversing += any(not cycle for _, _, _, cycle in sigma.signed_edge_cycles)
@@ -707,7 +721,7 @@ def _unfiltered_loops(lattice, sigma, m):
     g = lattice.graph
     nv = len(g.vertices)
     moved = [v for v in range(nv) if sigma.vperm[v] != v]
-    for orbit in orbits(nv, [sigma.vperm], moved):
+    for orbit in orbits([sigma.vperm], moved):
         yield norm(sigma, m, tree_path(g, orbit[0], sigma.vperm[orbit[0]]))
     for z in lattice.basis:
         yield norm(sigma, m, z)

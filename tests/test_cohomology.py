@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from graphperiod import catalog
+from graphperiod import catalog, cohomology
 from graphperiod.autgroup import (
     automorphism_generators,
     automorphism_group,
@@ -11,14 +11,12 @@ from graphperiod.autgroup import (
 )
 from graphperiod.cohomology import (
     CocycleTable,
-    Unknown,
     cayley_presentation,
     class_order_bar,
     class_order_cyclic,
     class_order_exact,
     class_order_presented,
     cocycle_chain,
-    cyclic_group_elements,
     restrict,
 )
 from graphperiod.homology import boundary, chain_action, fundamental_cycle_basis
@@ -32,7 +30,7 @@ from graphperiod.permgroup import (
     sylow_subgroup,
 )
 
-from util import relabel, transfer_automorphism, vertex_cycle_automorphism
+from util import cyclic_elements, relabel, transfer_automorphism, vertex_cycle_automorphism
 
 
 def make_lattice(name):
@@ -45,7 +43,8 @@ def test_normalization():
     ident = identity_automorphism(g)
     some = automorphism_generators(g)[3]
     for s, t in ((ident, ident), (ident, some), (some, ident)):
-        assert lattice.coordinates(cocycle_chain(lattice, s, t)) == [0] * lattice.rank
+        chain = cocycle_chain(lattice, s, t.vperm[lattice.root])
+        assert lattice.coordinates(chain) == [0] * lattice.rank
 
 
 def test_values_are_cycles():
@@ -54,7 +53,7 @@ def test_values_are_cycles():
     gens = automorphism_generators(g)
     for _ in range(50):
         s, t = rng.choice(gens), rng.choice(gens)
-        chain = cocycle_chain(lattice, s, t)
+        chain = cocycle_chain(lattice, s, t.vperm[lattice.root])
         assert boundary(g, chain) == {}
 
 
@@ -62,15 +61,16 @@ def test_cocycle_identity_random_triples():
     rng = Random(1)
     for name in ("k5", "doubled-k4"):
         g, lattice = make_lattice(name)
+        v0 = lattice.root
         gens = automorphism_generators(g)
         for _ in range(200):
             s, t, u = (rng.choice(gens) for _ in range(3))
             tu = t.compose(u)
             st = s.compose(t)
-            lhs = chain_action(s, cocycle_chain(lattice, t, u))
-            lhs = axpy(lhs, cocycle_chain(lattice, st, u), -1)
-            lhs = axpy(lhs, cocycle_chain(lattice, s, tu))
-            lhs = axpy(lhs, cocycle_chain(lattice, s, t), -1)
+            lhs = chain_action(s, cocycle_chain(lattice, t, u.vperm[v0]))
+            lhs = axpy(lhs, cocycle_chain(lattice, st, u.vperm[v0]), -1)
+            lhs = axpy(lhs, cocycle_chain(lattice, s, tu.vperm[v0]))
+            lhs = axpy(lhs, cocycle_chain(lattice, s, t.vperm[v0]), -1)
             assert lhs == {}
 
 
@@ -85,7 +85,7 @@ def test_restrict_to_trivial_subgroup_is_zero():
 def test_restrict_5_cycle_table_shape():
     g, lattice = make_lattice("k5")
     sigma = vertex_cycle_automorphism(g, ["v1", "v2", "v3", "v4", "v5"])
-    table = restrict(lattice, cyclic_group_elements(sigma))
+    table = restrict(lattice, cyclic_elements(sigma))
     assert table.size == 5
     assert table.rank == 6
     assert len(table.values) == 25
@@ -99,7 +99,7 @@ def test_doubled_cycle_rotation_restriction_has_full_order():
         rot = vertex_cycle_automorphism(g, [f"v{i}" for i in range(1, gg)])
         assert rot.order() == gg - 1
         assert class_order_cyclic(lattice, rot) == gg - 1
-        table = restrict(lattice, cyclic_group_elements(rot))
+        table = restrict(lattice, cyclic_elements(rot))
         assert class_order_bar(table) == gg - 1
 
 
@@ -188,9 +188,20 @@ def test_class_order_exact_enumerates_nothing(monkeypatch):
 
 
 def test_class_order_exact_unknown_for_large_groups():
+    # the Sylow-2 part 2^7 exceeds the bar cap; max_enum is only named
     g, lattice = make_lattice("doubled-cycle-g5")
-    result = class_order_exact(lattice)
-    assert result == Unknown(128)  # Sylow-2 part 2^7 exceeds the bar cap
+    assert class_order_exact(lattice) == (
+        "|Aut| = 128 against enumeration cap 1000000 or a Sylow subgroup above bar cap 32"
+    )
+
+
+def test_class_order_exact_returns_the_stall_text():
+    # one-letter words never reach the order-16 Sylow 2-subgroup
+    g, lattice = make_lattice("doubled-cycle-g3")
+    assert class_order_exact(lattice, Config(max_word_length=1)) == (
+        "Sylow 2-subgroup growth stalled at order 8 of 16 "
+        "(10000 words of length <= max_word_length 1)"
+    )
 
 
 def test_cyclic_divides_exact():
@@ -306,6 +317,22 @@ def test_presented_order_on_k5_sylow_5():
     assert class_order_presented(lattice, sub) == 5
 
 
+def test_presented_order_builds_automorphisms_only_for_generators(monkeypatch):
+    # c(x, h) reads h only at v0, so the |H| elements stay permutations
+    g, lattice = make_lattice("doubled-cycle-g4")
+    sub = sylow_subgroup(automorphism_group(g), 2)
+    expected = class_order_presented(lattice, sub)
+    original, built = cohomology.from_combined, []
+
+    def counting(graph, p):
+        built.append(p)
+        return original(graph, p)
+
+    monkeypatch.setattr(cohomology, "from_combined", counting)
+    assert class_order_presented(lattice, sub) == expected
+    assert built == list(sub.generators) and len(built) < sub.order() == 16
+
+
 def test_presented_order_on_trivial_group():
     g, lattice = make_lattice("k5")
     trivial = PermutationGroup(len(g.vertices) + len(g.edges), [])
@@ -336,7 +363,6 @@ def _fox_matrix_route(lattice, group):
     generator from two recurrences, and the relator blocks built apart."""
     g = lattice.rank
     elements, tree, relators = cayley_presentation(group)
-    autos = [from_combined(lattice.graph, p) for p in elements]
     gens = [from_combined(lattice.graph, q) for q in group.generators]
     actions = [lattice.action_matrix(x) for x in gens]
     ys = range(len(gens))
@@ -345,7 +371,7 @@ def _fox_matrix_route(lattice, group):
     fox[0] = [[[0] * g for _ in range(g)] for _ in ys]
 
     def lift(x, h):
-        value = lattice.coordinates(cocycle_chain(lattice, gens[x], autos[h]))
+        value = lattice.coordinates(cocycle_chain(lattice, gens[x], elements[h][lattice.root]))
         return [a + b for a, b in zip(matvec(actions[x], tails[h]), value)]
 
     for x, h, xh in tree:

@@ -167,7 +167,7 @@ def test_element_order_divides_group_order(aut_k5):
 
 def test_orbits():
     rot = (1, 2, 0, 4, 3)
-    out = orbits(5, [rot], list(range(5)))
+    out = orbits([rot], list(range(5)))
     assert out == [[0, 1, 2], [3, 4]]
 
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from graphperiod.autgroup import GraphAutomorphism, _lift_edge_map
+from graphperiod.autgroup import GraphAutomorphism, _lift_edge_map, from_combined
 from graphperiod.multigraph import Edge, Multigraph
+from graphperiod.permgroup import PermutationGroup
 
 
 def relabel(g: Multigraph, mapping: dict[str, str]) -> Multigraph:
@@ -32,6 +33,12 @@ def vertex_cycle_automorphism(g: Multigraph, cycle_ids: list[str]) -> GraphAutom
     for a, b in zip(cycle_ids, cycle_ids[1:] + cycle_ids[:1]):
         vperm[vi[a]] = vi[b]
     return GraphAutomorphism(g, tuple(vperm), _lift_edge_map(g, tuple(vperm)))
+
+
+def cyclic_elements(sigma: GraphAutomorphism) -> list[GraphAutomorphism]:
+    """<sigma> in the order identity, sigma, sigma^2, ..., for restrict."""
+    group = PermutationGroup(len(sigma.combined), [sigma.combined])
+    return [from_combined(sigma.graph, p) for p in group.enumerate_elements()]
 
 
 def unvalidated_graph(name, vertices, edges) -> Multigraph:
