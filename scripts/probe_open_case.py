@@ -4,7 +4,11 @@
 The period of the doubled truncated icosahedron is known to be 30 or 60
 (lower bound 30 from cyclic restrictions, upper bound 60 from the genus
 and orbit rules); deciding between them would require a certificate with
-4 dividing some restriction order.  This experiment samples many more
+4 dividing some restriction order.  A cyclic restriction's order is the
+gcd of sigma's cycle lengths on vertices and edges, so a sigma certifies 4
+only if 4 divides every one of its cycle lengths; soccer's vertex
+permutations have orders 1, 2, 3, 5, 6 and 10, so none does, and the
+table below can only confirm that.  This experiment samples many more
 cyclic subgroups than the default scan and tabulates the restriction
 orders seen, grouped by element order.
 
@@ -20,7 +24,6 @@ from graphperiod.autgroup import automorphism_group, from_combined
 from graphperiod.catalog import builtin
 from graphperiod.cohomology import class_order_cyclic
 from graphperiod.config import Config
-from graphperiod.homology import fundamental_cycle_basis
 from graphperiod.permgroup import cyclic_subgroups
 
 
@@ -33,7 +36,6 @@ def main() -> int:
 
     graph = builtin("soccer-doubled")
     group = automorphism_group(graph)
-    lattice = fundamental_cycle_basis(graph)
 
     config = Config(
         seed=args.seed, word_budget=args.words, max_word_length=16, max_subgroups=args.subgroups
@@ -44,7 +46,7 @@ def main() -> int:
     lower = 1
     for key, order in pairs:
         sigma = from_combined(graph, key)
-        n = class_order_cyclic(lattice, sigma)
+        n = class_order_cyclic(sigma)
         table[(order, n)] += 1
         lower = math.lcm(lower, n)
     print("element order -> restriction orders seen (count):")

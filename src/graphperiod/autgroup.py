@@ -118,12 +118,6 @@ class GraphAutomorphism:
         }
 
 
-def identity_automorphism(g: Multigraph) -> GraphAutomorphism:
-    return GraphAutomorphism(
-        g, tuple(range(len(g.vertices))), tuple(range(len(g.edges)))
-    )
-
-
 def from_combined(g: Multigraph, p: Perm | bytes) -> GraphAutomorphism:
     """The automorphism whose combined permutation is p, given as a Perm
     or as a permgroup byte key, which indexes to the same points."""

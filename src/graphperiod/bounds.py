@@ -263,11 +263,17 @@ def period_lower_loop_summand(
 def _orbits(g: Multigraph) -> tuple[list[list[int]], list[list[int]]]:
     """The vertex orbits and the edge orbits (edge indices) of Aut(g), each
     sorted and ordered by least member.  Combined points list the vertices
-    first, so the vertex orbits come first."""
-    group = automorphism_group(g)
-    nv = len(g.vertices)
-    both = orbits(list(group.generators), list(range(group.degree)))
-    return [o for o in both if o[0] < nv], [[k - nv for k in o] for o in both if o[0] >= nv]
+    first, so the vertex orbits come first.  Computed once per graph
+    object and stored on g, as automorphism_group stores Aut(g); callers
+    must not mutate the lists."""
+    found = g.__dict__.get("_orbits")
+    if found is None:
+        group = automorphism_group(g)
+        nv = len(g.vertices)
+        both = orbits(list(group.generators), list(range(group.degree)))
+        found = [o for o in both if o[0] < nv], [[k - nv for k in o] for o in both if o[0] >= nv]
+        g.__dict__["_orbits"] = found
+    return found
 
 
 def _incident_vertices(g: Multigraph, edge_set: list[int]) -> set[int]:
@@ -544,7 +550,7 @@ def _cyclic_scan(
             ("CyclicRestriction", d) in seen for d in range(2, order + 1) if order % d == 0
         ):
             continue
-        n = cohomology.class_order_cyclic(lattice, sigma)
+        n = cohomology.class_order_cyclic(sigma)
         if n > 1:
             push(_cyclic_cert(sigma, order, n))
         if n != order or loop_held:
@@ -733,8 +739,7 @@ def _rebuild(g: Multigraph, cert: Certificate, config: Config) -> list[Certifica
     except ValueError:
         return []
     if rule == "CyclicRestriction":
-        lattice = homology.fundamental_cycle_basis(g)
-        return [_cyclic_cert(sigma, sigma.order(), cohomology.class_order_cyclic(lattice, sigma))]
+        return [_cyclic_cert(sigma, sigma.order(), cohomology.class_order_cyclic(sigma))]
     try:  # LoopSummand
         loop: Chain = {g.edge_index[item["edge"]]: item["sign"] for item in w["loop"]}
     except (KeyError, TypeError):

@@ -10,12 +10,30 @@ is s(v0) - v0.  The combination (cocycle_chain)
 is closed, hence lands in the cycle lattice M, and is a normalized
 2-cocycle for the coboundary convention (d f)(s, t) = s.f(t) - f(st) + f(s).
 The order of its class in H^2 restricted to a subgroup H is the least n
-with n*c a coboundary; for cyclic H = <s> of order m there is a closed
-form: H^2(<s>, M) = M^s / N M with N = 1 + s + ... + s^(m-1), and the
-class corresponds to the invariant cycle N . P_s.  class_order_cyclic
-solves it in s's edge-cycle coordinates, one coefficient per orbit sum of
-a sign-preserving edge cycle, since those orbit sums have disjoint
-supports and span every N . z.
+with n*c a coboundary.
+
+For cyclic H = <s> it is the gcd of the cycle lengths of s.combined, the
+action on vertices and edges (class_order_cyclic).  Proof: H^2(<s>, M) =
+M^s / N M with N the sum of the powers of s, and the class is N . P for
+P = P_s.  Let pi send a chain to its signed sums over s's sign-preserving
+edge cycles.  N kills the edges of sign-reversing cycles and scales pi(z)
+injectively onto the disjoint orbit sums of the others, so n is the least
+n with n pi(P) in pi(M).
+  1. As M = ker d, n pi(P) is in pi(M) iff n dP is in d(ker pi), where
+     dP = s(v0) - v0.
+  2. ker pi = (1 - s) Z^E + Z^{E-}, E- the edges in sign-reversing cycles,
+     so d(ker pi) = (1 - s) B + d Z^{E-}, B = d Z^E the degree-0 vectors
+     (the graph is connected).
+  3. With d_V the gcd of the vertex-orbit sizes, phi((1 - s) y) = sum(y)
+     mod d_V is well defined (an invariant y sums to a multiple of d_V),
+     its kernel is (1 - s) B, and phi(v0 - s(v0)) = 1.
+  4. s^L swaps the ends of an edge e in a sign-reversing cycle of length
+     L, so de = (1 - s^L) h for its head h, and phi(de) = L.
+  5. So n = gcd(d_V, those L).  A sign-preserving cycle's length is a
+     multiple of its tail's orbit size, so n is the gcd of all cycle
+     lengths of s.combined.
+The vertex orbits alone do not suffice: on a banana graph, an s that swaps
+the two vertices and fixes an edge reverses it, so n = 1, not 2.
 
 For any other finite H = <X> (a Sylow subgroup, in class_order_exact) the
 order comes from a presentation of H, after Fox's free differential
@@ -48,16 +66,11 @@ from dataclasses import dataclass
 
 from .autgroup import GraphAutomorphism, automorphism_group, from_combined
 from .config import Config
-from .homology import (
-    Chain,
-    CycleLattice,
-    chain_action,
-    norm,
-    orbit_sum_coefficients,
-    tree_path,
-)
+from .homology import Chain, CycleLattice, chain_action, tree_path
 from .intlinalg import LatticeSolver, Matrix, NoneUpTo, axpy, matmul, zeros
-from .permgroup import Perm, PermutationGroup, SylowGrowthStalled, _factor, mul, sylow_subgroup
+from .permgroup import (
+    Perm, PermutationGroup, SylowGrowthStalled, _factor, cycle_lengths, mul, sylow_subgroup
+)
 
 
 def path_chain(lattice: CycleLattice, sigma: GraphAutomorphism) -> Chain:
@@ -162,35 +175,10 @@ def class_order_bar(table: CocycleTable) -> int:
     return order
 
 
-def class_order_cyclic(lattice: CycleLattice, sigma: GraphAutomorphism) -> int:
-    """Order of the class restricted to <sigma>, by the closed form
-    H^2(<sigma>, M) = M^sigma / N M: the least n with n * (N . P_sigma) in
-    N M, where N = sum of the powers of the action.
-
-    The solve runs in sigma's edge-cycle coordinates.  Every orbit sum is
-    a combination of the orbit sums S_C of sigma's sign-preserving edge
-    cycles (orbit_sum_coefficients), and the S_C have disjoint supports, so
-    n * (N . P_sigma) lies in N M = span{N . z : z in the basis} exactly
-    when its coefficient vector lies in the span of theirs.  N . P_sigma
-    goes through lattice.coordinates once, which checks that it is a cycle
-    and tests it for zero.  The N . z need no such check: every basis
-    cycle z was checked closed when the basis was built, sigma preserves
-    incidence (GraphAutomorphism checks it on construction), so
-    boundary(N . z) = N . boundary(z) = 0."""
-    m = sigma.order()
-    if m == 1:
-        return 1
-    path = path_chain(lattice, sigma)
-    target = lattice.coordinates(norm(sigma, m, path))
-    if all(x == 0 for x in target):
-        return 1
-    solver = LatticeSolver(len(lattice.graph.edges))
-    for z in lattice.basis:
-        solver.add_generator(orbit_sum_coefficients(sigma, m, z))
-    n = solver.least_multiple(orbit_sum_coefficients(sigma, m, path), m)
-    if isinstance(n, NoneUpTo):  # pragma: no cover - annihilation bound
-        raise AssertionError("restricted class order exceeded |<sigma>|")
-    return n
+def class_order_cyclic(sigma: GraphAutomorphism) -> int:
+    """Order of the class restricted to <sigma>: the gcd of sigma's cycle
+    lengths on vertices and edges (the module docstring proves it)."""
+    return math.gcd(*cycle_lengths(sigma.combined))
 
 
 Edge = tuple[int, int, int]

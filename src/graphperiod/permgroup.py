@@ -78,12 +78,11 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def element_order(p: Perm) -> int:
-    """Least m >= 1 with p^m = identity (lcm of cycle lengths)."""
-    n = len(p)
-    seen = [False] * n
+def cycle_lengths(p: Perm) -> set[int]:
+    """The set of cycle lengths of p, fixed points counting as 1."""
+    seen = [False] * len(p)
     lengths = set()
-    for i in range(n):
+    for i in range(len(p)):
         if seen[i]:
             continue
         length = 0
@@ -93,7 +92,12 @@ def element_order(p: Perm) -> int:
             j = p[j]
             length += 1
         lengths.add(length)
-    return math.lcm(*lengths)
+    return lengths
+
+
+def element_order(p: Perm) -> int:
+    """Least m >= 1 with p^m = identity (lcm of cycle lengths)."""
+    return math.lcm(*cycle_lengths(p))
 
 
 def perm_power(p: Perm, k: int) -> Perm:

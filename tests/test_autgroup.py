@@ -13,10 +13,11 @@ from graphperiod.autgroup import (
     count_automorphisms_bruteforce,
     from_combined,
     from_json_dict,
-    identity_automorphism,
     quotient_vertex_automorphisms,
 )
 from graphperiod.multigraph import Edge, Multigraph, parse_graph
+
+from util import identity_automorphism
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from graphperiod.autgroup import (
     automorphism_generators,
     automorphism_group,
     from_combined,
-    identity_automorphism,
 )
 from graphperiod.bounds import (
     RULES,
@@ -44,7 +43,7 @@ from graphperiod.intlinalg import LatticeSolver, axpy
 from graphperiod.multigraph import Edge, Multigraph
 from graphperiod.permgroup import cyclic_subgroups, orbits, sylow_subgroup
 
-from util import vertex_cycle_automorphism
+from util import identity_automorphism, vertex_cycle_automorphism
 
 
 def k5_setup():
@@ -144,7 +143,7 @@ class TestLoopSummand:
         sigma = vertex_cycle_automorphism(g, ["v1", "v2", "v3", "v4", "v5"])
         loop = chain_from_vertex_cycle(g, ["v1", "v2", "v3", "v4", "v5"])
         m = period_lower_loop_summand(lattice, sigma, loop)
-        assert class_order_cyclic(lattice, sigma) % m == 0
+        assert class_order_cyclic(sigma) % m == 0
 
 
 class TestIndexDivisors:
@@ -439,8 +438,8 @@ def _replay_scan(g, monkeypatch):
             processed.append(sigma)
         return sigma
 
-    def recording_class_order(lattice, sigma):
-        n = real_class_order(lattice, sigma)
+    def recording_class_order(sigma):
+        n = real_class_order(sigma)
         if sigma.graph is g:
             computed[sigma.combined] = n
         return n
@@ -467,7 +466,7 @@ def test_skipped_cyclic_restrictions_repeat_a_held_divisor(name, min_skipped, mo
         n = computed.get(sigma.combined)
         if n is None:
             skipped += 1
-            n = class_order_cyclic(lattice, sigma)
+            n = class_order_cyclic(sigma)
             assert n == 1 or n in held, (sigma.order(), n, held)
         elif n > 1:
             held.add(n)
@@ -522,8 +521,8 @@ def test_loop_searches_run_only_where_the_restriction_is_the_order(name, loop_te
     real_scan_loops = bounds._scan_loops_for_sigma
     real_loop_test = bounds.period_lower_loop_summand
 
-    def recording_class_order(lattice, sigma):
-        n = real_class_order(lattice, sigma)
+    def recording_class_order(sigma):
+        n = real_class_order(sigma)
         events.append(("restriction", sigma.graph, sigma.combined, n))
         return n
 
@@ -590,7 +589,7 @@ def _check_against_the_chain_route(lattice, sigmas):
     nv = len(g.vertices)
     reversing = 0
     for sigma in sigmas:
-        assert class_order_cyclic(lattice, sigma) == _chain_class_order_cyclic(lattice, sigma), (
+        assert class_order_cyclic(sigma) == _chain_class_order_cyclic(lattice, sigma), (
             sigma.to_json_dict()
         )
         m = sigma.order()
@@ -818,7 +817,7 @@ def test_a_firing_loop_summand_divides_the_cyclic_restriction(g):
     for lattice, sigma, loops in _candidate_loops(g, _limit(g)):
         if any(type(period_lower_loop_summand(lattice, sigma, loop)) is int for loop in loops):
             fired += 1
-            assert class_order_cyclic(lattice, sigma) == sigma.order(), (
+            assert class_order_cyclic(sigma) == sigma.order(), (
                 sigma.to_json_dict()
             )
     if g.name == "soccer-doubled":

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from graphperiod import catalog
-from graphperiod.autgroup import automorphism_generators, identity_automorphism
+from graphperiod.autgroup import automorphism_generators
 from graphperiod.homology import (
     boundary,
     chain_action,
@@ -18,7 +18,13 @@ from graphperiod.homology import (
 from graphperiod.intlinalg import axpy, det_bareiss, diagonal
 from graphperiod.multigraph import genus
 
-from util import relabel, transfer_automorphism, unvalidated_graph, vertex_cycle_automorphism
+from util import (
+    identity_automorphism,
+    relabel,
+    transfer_automorphism,
+    unvalidated_graph,
+    vertex_cycle_automorphism,
+)
 
 
 @pytest.mark.parametrize(

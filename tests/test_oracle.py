@@ -1,4 +1,7 @@
+import math
+
 from graphperiod import cohomology, homology, oracle
+from graphperiod.permgroup import cycle_lengths
 
 
 def test_suites_pass_default_seed():
@@ -42,6 +45,17 @@ def test_injected_sign_fault_is_caught(monkeypatch):
     finally:
         monkeypatch.setattr(homology, "chain_action", original)
     assert failures, "the oracle suite must detect a sign fault"
+
+
+def test_injected_vertex_only_cyclic_order_is_caught(monkeypatch):
+    """The gcd of sigma's vertex cycle lengths alone, without its edge
+    cycles, must break the cyclic-vs-bar equivalence on some instance."""
+
+    def vertex_only(sigma):
+        return math.gcd(*cycle_lengths(sigma.vperm))
+
+    monkeypatch.setattr(cohomology, "class_order_cyclic", vertex_only)
+    assert oracle.suite_cyclic_vs_bar(0, instances=20)
 
 
 def _presentation_fault_failures(monkeypatch, name, faulty) -> list[str]:

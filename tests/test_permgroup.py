@@ -12,6 +12,7 @@ from graphperiod.permgroup import (
     SylowGrowthStalled,
     _Codec,
     _factor,
+    cycle_lengths,
     cyclic_subgroups,
     element_order,
     identity,
@@ -67,6 +68,12 @@ def test_element_orders(aut_k5):
     assert element_order(identity(7)) == 1
     orders = {element_order(p) for p in aut_k5.enumerate_elements()}
     assert orders == {1, 2, 3, 4, 5, 6}
+
+
+def test_cycle_lengths():
+    assert cycle_lengths(identity(4)) == {1}
+    assert cycle_lengths((1, 2, 0, 4, 3, 5)) == {1, 2, 3}
+    assert cycle_lengths((1, 2, 3, 0, 5, 4)) == {2, 4}
 
 
 def test_membership(aut_k5):

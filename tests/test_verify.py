@@ -4,7 +4,6 @@ witnesses, and single-field tampering."""
 import pytest
 
 from graphperiod import autgroup, bounds, catalog
-from graphperiod.autgroup import identity_automorphism
 from graphperiod.bounds import (
     RULES,
     Certificate,
@@ -14,6 +13,8 @@ from graphperiod.bounds import (
 )
 from graphperiod.config import Config
 from graphperiod.multigraph import parse_graph
+
+from util import identity_automorphism
 
 TAMPER_GRAPHS = ("k5", "k34", "hybrid")
 
@@ -68,6 +69,30 @@ def test_analyze_and_verify_search_automorphisms_once(monkeypatch):
     report = analyze(g, Config())
     assert all(verify_certificate(g, c) for c in report.certificates)
     assert len(calls) == 1 and calls[0] is g
+
+
+def test_analyze_and_verify_compute_orbits_once_per_graph_object(monkeypatch):
+    """Aut(g)'s orbits on all of g's points are computed once for one
+    analyze plus a full verify of hybrid, and once more for a fresh parse;
+    the loop search's orbits of one sigma on vertices are not counted."""
+    g = catalog.builtin("hybrid")
+    degree = len(g.vertices) + len(g.edges)
+    calls = []
+    original = bounds.orbits
+
+    def counting(generators, points):
+        if len(points) == degree:
+            calls.append(points)
+        return original(generators, points)
+
+    monkeypatch.setattr(bounds, "orbits", counting)
+    report = analyze(g, Config())
+    assert any(c.rule == "OrbitSubgraph" for c in report.certificates)
+    assert all(verify_certificate(g, c) for c in report.certificates)
+    assert len(calls) == 1
+    fresh = parse_graph(g.to_json())
+    assert all(verify_certificate(fresh, c) for c in report.certificates)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", ["k5", "hybrid"])

@@ -25,6 +25,10 @@ def transfer_automorphism(
     return GraphAutomorphism(target, a.vperm, a.eperm)
 
 
+def identity_automorphism(g: Multigraph) -> GraphAutomorphism:
+    return GraphAutomorphism(g, tuple(range(len(g.vertices))), tuple(range(len(g.edges))))
+
+
 def vertex_cycle_automorphism(g: Multigraph, cycle_ids: list[str]) -> GraphAutomorphism:
     """The automorphism rotating the given vertices one step (other
     vertices fixed), with the canonical edge lift."""
