@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, itemgetter, mul
 
 from . import permgroup
 from .multigraph import Multigraph
@@ -31,7 +32,11 @@ class GraphAutomorphism:
     """A pair of vertex and edge permutations preserving incidence.
 
     vperm and eperm are image tuples over vertex / edge indices of the
-    graph's stored orderings.
+    graph's stored orderings.  An edge's ends are an unordered pair, fixed
+    by their sum and product (Multigraph.edge_end_tables), so incidence is
+    checked in C: the images of every edge's ends must have the sum and
+    product of its image's ends.  Only on a mismatch does the per-edge loop
+    run, to name the first bad edge.
     """
 
     graph: Multigraph
@@ -40,7 +45,15 @@ class GraphAutomorphism:
 
     def __post_init__(self):
         g = self.graph
-        ends, vperm, eperm = g.edge_ends_idx, self.vperm, self.eperm
+        vperm, eperm = self.vperm, self.eperm
+        tails, heads, sums, products = g.edge_end_tables
+        vt, vh = itemgetter(*tails)(vperm), itemgetter(*heads)(vperm)
+        at_image = itemgetter(*eperm)
+        if (tuple(map(add, vt, vh)), tuple(map(mul, vt, vh))) == (
+            at_image(sums), at_image(products)
+        ):
+            return
+        ends = g.edge_ends_idx
         for k, (t, h) in enumerate(ends):
             it, ih = ends[eperm[k]]
             vt, vh = vperm[t], vperm[h]
@@ -108,7 +121,8 @@ class GraphAutomorphism:
         return permgroup.element_order(self.combined)
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.combined))
+        vperm, eperm = self.vperm, self.eperm
+        return vperm == tuple(range(len(vperm))) and eperm == tuple(range(len(eperm)))
 
     def to_json_dict(self) -> dict:
         g = self.graph
@@ -245,11 +259,9 @@ def _lift_edge_map(g: Multigraph, vperm: tuple[int, ...]) -> tuple[int, ...]:
     """The canonical edge map over a vertex map: parallel classes are
     matched in edge-id order."""
     eperm = [0] * len(g.edges)
-    classes = g.parallel_classes
-    for (a, b), ks in classes.items():
-        ia, ib = vperm[a], vperm[b]
-        image = classes[(min(ia, ib), max(ia, ib))]
-        for k, ik in zip(ks, image):
+    images = g.parallel_classes_two_way
+    for (a, b), ks in g.parallel_classes.items():
+        for k, ik in zip(ks, images[vperm[a], vperm[b]]):
             eperm[k] = ik
     return tuple(eperm)
 

@@ -176,7 +176,7 @@ def chain_from_vertex_cycle(g: Multigraph, vertex_ids: list[str]) -> Chain:
     chain: Chain = {}
     for a, b in zip(vertex_ids, vertex_ids[1:] + vertex_ids[:1]):
         ia, ib = vi[a], vi[b]
-        ks = g.parallel_classes.get((min(ia, ib), max(ia, ib)))
+        ks = g.parallel_classes_two_way.get((ia, ib))
         if not ks:
             raise ValueError(f"no edge between {a!r} and {b!r}")
         k = ks[0]
@@ -497,12 +497,13 @@ def _cyclic_scan(
 ):
     """Walk cyclic subgroups in the order cyclic_subgroups returns them
     (largest order first), collecting cyclic restriction orders and
-    loop-summand certificates.  Each representative stays a key until the
-    scan processes it; only then is sigma built.  After scan_quota
+    loop-summand certificates.  Every representative stays a key: the
+    restriction is read off the key, and sigma is built only where it
+    certifies a new divisor or its loops are searched.  After scan_quota
     subgroups the scan stops early once both intervals that certs prove
-    are resolved.  Certificates are kept once per (rule, divisor), so a
-    test that could only yield a held divisor is skipped; a skipped sigma
-    still counts as processed.
+    are resolved, checked again only when certs has grown.  Certificates
+    are kept once per (rule, divisor), so a test that could only yield a
+    held divisor is skipped; a skipped sigma still counts as processed.
 
     The loop rule certifies exactly m = |sigma|.  A sigma is skipped whole
     when a LoopSummand certificate for m and a CyclicRestriction
@@ -530,30 +531,35 @@ def _cyclic_scan(
     seen: set[tuple[str, int]] = set()
 
     def push(cert: Certificate):
-        key = (cert.rule, cert.divisor)
-        if key not in seen:
-            seen.add(key)
-            certs.append(cert)
+        seen.add((cert.rule, cert.divisor))
+        certs.append(cert)
 
     processed = 0
+    counted = resolved = None
     for key, order in pairs:
         if order == 1:
             continue
-        if processed >= config.scan_quota and all(
-            interval.resolved for interval in intervals_from_certificates(certs)
-        ):
-            break
+        if processed >= config.scan_quota:
+            if counted != len(certs):
+                counted = len(certs)
+                resolved = all(i.resolved for i in intervals_from_certificates(certs))
+            if resolved:
+                break
         processed += 1
-        sigma = from_combined(g, key)
         loop_held = ("LoopSummand", order) in seen
         if loop_held and all(
             ("CyclicRestriction", d) in seen for d in range(2, order + 1) if order % d == 0
         ):
             continue
-        n = cohomology.class_order_cyclic(sigma)
-        if n > 1:
+        n = cohomology.class_order_cyclic(key)
+        new = n > 1 and ("CyclicRestriction", n) not in seen
+        search = n == order and not loop_held
+        if not (new or search):
+            continue
+        sigma = from_combined(g, key)
+        if new:
             push(_cyclic_cert(sigma, order, n))
-        if n != order or loop_held:
+        if not search:
             continue
         for loop in _scan_loops_for_sigma(lattice, sigma, order):
             result = period_lower_loop_summand(lattice, sigma, loop)
@@ -739,7 +745,7 @@ def _rebuild(g: Multigraph, cert: Certificate, config: Config) -> list[Certifica
     except ValueError:
         return []
     if rule == "CyclicRestriction":
-        return [_cyclic_cert(sigma, sigma.order(), cohomology.class_order_cyclic(sigma))]
+        return [_cyclic_cert(sigma, sigma.order(), cohomology.class_order_cyclic(sigma.combined))]
     try:  # LoopSummand
         loop: Chain = {g.edge_index[item["edge"]]: item["sign"] for item in w["loop"]}
     except (KeyError, TypeError):

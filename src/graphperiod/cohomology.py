@@ -175,10 +175,11 @@ def class_order_bar(table: CocycleTable) -> int:
     return order
 
 
-def class_order_cyclic(sigma: GraphAutomorphism) -> int:
+def class_order_cyclic(combined: Perm | bytes) -> int:
     """Order of the class restricted to <sigma>: the gcd of sigma's cycle
-    lengths on vertices and edges (the module docstring proves it)."""
-    return math.gcd(*cycle_lengths(sigma.combined))
+    lengths on vertices and edges (the module docstring proves it), read off
+    its combined permutation, a Perm or a permgroup byte key."""
+    return math.gcd(*cycle_lengths(combined))
 
 
 Edge = tuple[int, int, int]

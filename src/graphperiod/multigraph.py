@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, mul
 
 MIN_DEGREE = 3
 
@@ -119,6 +120,14 @@ class Multigraph:
         return tuple((vi[e.tail], vi[e.head]) for e in self.edges)
 
     @cached_property
+    def edge_end_tables(self) -> tuple[tuple[int, ...], ...]:
+        """(tails, heads, sums, products) of edge_ends_idx, each in
+        edge-index order.  Over the integers a + b and a * b fix the
+        unordered pair {a, b}: a and b are the roots of x^2 - (a + b) x + a b."""
+        tails, heads = zip(*self.edge_ends_idx)
+        return tails, heads, tuple(map(add, tails, heads)), tuple(map(mul, tails, heads))
+
+    @cached_property
     def parallel_classes(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """Edge indices grouped by unordered endpoint pair, id-sorted."""
         classes: dict[tuple[int, int], list[int]] = {}
@@ -128,6 +137,12 @@ class Multigraph:
             pair: tuple(sorted(ks, key=lambda k: self.edges[k].id))
             for pair, ks in classes.items()
         }
+
+    @cached_property
+    def parallel_classes_two_way(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """parallel_classes keyed by both orders of each endpoint pair."""
+        classes = self.parallel_classes
+        return {**classes, **{(b, a): ks for (a, b), ks in classes.items()}}
 
     def bfs_tree(self, start: int) -> tuple[int, ...]:
         """For every vertex index, the edge by which breadth-first search

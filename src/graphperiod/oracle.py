@@ -91,7 +91,7 @@ def suite_cyclic_vs_bar(seed: int, instances: int = 50) -> list[str]:
         if sigma is None:
             continue
         done += 1
-        fast = cohomology.class_order_cyclic(sigma)
+        fast = cohomology.class_order_cyclic(sigma.combined)
         cyclic = PermutationGroup(len(sigma.combined), [sigma.combined]).enumerate_elements()
         autos = [autgroup.from_combined(g, p) for p in cyclic]
         slow = cohomology.class_order_bar(cohomology.restrict(lattice, autos))

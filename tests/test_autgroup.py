@@ -1,4 +1,5 @@
 import hashlib
+import re
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from graphperiod.autgroup import (
     quotient_vertex_automorphisms,
 )
 from graphperiod.multigraph import Edge, Multigraph, parse_graph
+from graphperiod.permgroup import element_order
 
 from util import identity_automorphism
 
@@ -50,6 +52,100 @@ def test_incidence_invariant_enforced():
     bad_eperm[0], bad_eperm[1] = bad_eperm[1], bad_eperm[0]
     with pytest.raises(ValueError):
         GraphAutomorphism(g, ident.vperm, tuple(bad_eperm))
+
+
+def _first_bad_edge(g, vperm, eperm):
+    """The per-edge incidence check: the id of the first edge whose image's
+    ends are not the images of its ends, or None."""
+    ends = g.edge_ends_idx
+    for k, (t, h) in enumerate(ends):
+        if sorted((vperm[t], vperm[h])) != sorted(ends[eperm[k]]):
+            return g.edges[k].id
+    return None
+
+
+def _swap(perm, i, j):
+    out = list(perm)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def _incidence_cases(g, rng, count):
+    """(kind, vperm, eperm) pairs: valid automorphisms (some reverse edge
+    orientations), each with two vertex images swapped (edges sent to
+    pairs that need not be adjacent), with two parallel edges' images
+    swapped, with two edges' images swapped where the first edge's new
+    image has the same end sum or the same end product as its old one but
+    other ends, and uniformly random pairs."""
+    group = automorphism_group(g)
+    nv, ne = len(g.vertices), len(g.edges)
+    _, _, sums, products = g.edge_end_tables
+    classes = [ks for ks in g.parallel_classes.values() if len(ks) > 1]
+    for _ in range(count):
+        a = from_combined(g, group.random_element(rng, 12))
+        yield "valid", a.vperm, a.eperm
+        yield "vertices-swapped", _swap(a.vperm, *rng.sample(range(nv), 2)), a.eperm
+        if classes:
+            i, j = rng.sample(rng.choice(classes), 2)
+            yield "parallel-swapped", a.vperm, _swap(a.eperm, i, j)
+        for table in (sums, products):
+            k = rng.randrange(ne)
+            ik = a.eperm[k]
+            others = [
+                l for l in range(ne)
+                if table[l] == table[ik] and set(g.edge_ends_idx[l]) != set(g.edge_ends_idx[ik])
+            ]
+            if others:
+                l = a.eperm.index(rng.choice(others))
+                yield "same-sum-or-product", a.vperm, _swap(a.eperm, k, l)
+        yield "random", tuple(rng.sample(range(nv), nv)), tuple(rng.sample(range(ne), ne))
+
+
+@pytest.mark.parametrize(
+    "name", ["k5", "k34", "doubled-k4", "doubled-cycle-g5", "hybrid", "soccer-doubled"]
+)
+def test_incidence_check_from_end_sums_and_products_matches_the_per_edge_loop(name):
+    """GraphAutomorphism compares the sums and products of edge ends
+    (Multigraph.edge_end_tables) instead of walking the edges, and accepts
+    and rejects exactly what the per-edge loop does, its error naming the
+    loop's first bad edge."""
+    g = catalog.builtin(name)
+    tails, heads, sums, products = g.edge_end_tables
+    assert list(zip(tails, heads)) == list(g.edge_ends_idx)
+    pairs = {(s, p): set(ends) for s, p, ends in zip(sums, products, g.edge_ends_idx)}
+    assert len(pairs) == len({frozenset(ends) for ends in g.edge_ends_idx})
+    rng = Random(name)
+    verdicts: dict[str, set[bool]] = {}
+    reversing = 0
+    for kind, vperm, eperm in _incidence_cases(g, rng, 30):
+        bad = _first_bad_edge(g, vperm, eperm)
+        verdicts.setdefault(kind, set()).add(bad is None)
+        if bad is None:
+            a = GraphAutomorphism(g, vperm, eperm)
+            reversing += any(sign == -1 for _, sign in a.signed_eperm)
+        else:
+            message = f"edge {bad!r} image does not match vertex images"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                GraphAutomorphism(g, vperm, eperm)
+    assert verdicts["valid"] == {True} and verdicts["random"] == {False}
+    assert verdicts["same-sum-or-product"] == {False}
+    assert False in verdicts["vertices-swapped"]
+    assert verdicts.get("parallel-swapped", {True}) == {True}
+    # every edge of k34 runs from its 3-side to its 4-side, which no
+    # automorphism swaps
+    assert (reversing > 0) == (name != "k34")
+
+
+def test_soccer_quotient_automorphism_orders_rule_out_a_restriction_of_four():
+    """soccer-doubled's 120 quotient vertex automorphisms have orders 1, 2,
+    3, 5, 6 and 10 only, and every automorphism acts on the vertices as one
+    of them.  A cyclic restriction is the gcd of sigma's cycle lengths, so
+    it divides the order of sigma on the vertices: no restriction on
+    soccer-doubled is divisible by 4, and no scan budget lifts its period
+    lower bound past 30."""
+    autos = quotient_vertex_automorphisms(catalog.builtin("soccer-doubled"))
+    assert len(autos) == 120
+    assert {element_order(p) for p in autos} == {1, 2, 3, 5, 6, 10}
 
 
 def test_compose_closure():

@@ -143,7 +143,7 @@ class TestLoopSummand:
         sigma = vertex_cycle_automorphism(g, ["v1", "v2", "v3", "v4", "v5"])
         loop = chain_from_vertex_cycle(g, ["v1", "v2", "v3", "v4", "v5"])
         m = period_lower_loop_summand(lattice, sigma, loop)
-        assert class_order_cyclic(sigma) % m == 0
+        assert class_order_cyclic(sigma.combined) % m == 0
 
 
 class TestIndexDivisors:
@@ -423,51 +423,75 @@ def test_asymmetric_graph_trivial_class():
 
 
 def _replay_scan(g, monkeypatch):
-    """Analyze g at Config() and return the report, every sigma the scan
-    processed on g itself (not on its invariant subgraphs), in order, and
-    the restriction it computed for each, keyed by sigma.combined."""
+    """Analyze g at Config() and return the report, the (key, order) pair
+    of every cyclic subgroup the scan processed on g itself (not on its
+    invariant subgraphs), in order, the restriction it computed for each,
+    keyed by tuple(key), and the combined permutation of every sigma it
+    built on g, in order.
+
+    The pairs are recorded as the scan takes them from cyclic_subgroups'
+    list: it processes every pair of order > 1 that it takes, except the
+    one it stops at when it breaks off early, which leaves the recording
+    iterator unexhausted.  A subgraph's keys are shorter than g's, so the
+    restrictions computed on g are those on keys of g's degree."""
     from graphperiod import bounds, cohomology
 
-    processed, computed = [], {}
+    degree = automorphism_group(g).degree
+    taken, exhausted, computed, built = [], [], {}, []
+    real_subgroups = bounds.cyclic_subgroups
     real_from_combined = bounds.from_combined
     real_class_order = cohomology.class_order_cyclic
+
+    class Recorded(list):
+        def __iter__(self):
+            for pair in list.__iter__(self):
+                taken.append(pair)
+                yield pair
+            exhausted.append(True)
+
+    def recording_subgroups(group, config):
+        pairs, complete = real_subgroups(group, config)
+        return (Recorded(pairs) if group is automorphism_group(g) else pairs), complete
 
     def recording_from_combined(graph, perm):
         sigma = real_from_combined(graph, perm)
         if graph is g:
-            processed.append(sigma)
+            built.append(sigma.combined)
         return sigma
 
-    def recording_class_order(sigma):
-        n = real_class_order(sigma)
-        if sigma.graph is g:
-            computed[sigma.combined] = n
+    def recording_class_order(key):
+        n = real_class_order(key)
+        if len(key) == degree:
+            computed[tuple(key)] = n
         return n
 
+    monkeypatch.setattr(bounds, "cyclic_subgroups", recording_subgroups)
     monkeypatch.setattr(bounds, "from_combined", recording_from_combined)
     monkeypatch.setattr(cohomology, "class_order_cyclic", recording_class_order)
     report = analyze(g, Config())
     monkeypatch.undo()
-    return report, processed, computed
+    if not exhausted:
+        taken.pop()
+    processed = [(key, order) for key, order in taken if order > 1]
+    return report, processed, computed, built
 
 
 # hybrid certifies 4 but never 2, so none of its restrictions is skipped
 @pytest.mark.parametrize("name,min_skipped", [("soccer-doubled", 1), ("hybrid", 0)])
 def test_skipped_cyclic_restrictions_repeat_a_held_divisor(name, min_skipped, monkeypatch):
-    """Replay the scan's processed elements in order: every sigma whose
+    """Replay the scan's processed subgroups in order: every sigma whose
     restriction the scan skipped has class order 1 or a divisor that an
     earlier computed restriction already certified."""
     g = catalog.builtin(name)
-    report, processed, computed = _replay_scan(g, monkeypatch)
-    lattice = fundamental_cycle_basis(g)
+    report, processed, computed, _ = _replay_scan(g, monkeypatch)
     held: set[int] = set()
     skipped = 0
-    for sigma in processed:
-        n = computed.get(sigma.combined)
+    for key, order in processed:
+        n = computed.get(tuple(key))
         if n is None:
             skipped += 1
-            n = class_order_cyclic(sigma)
-            assert n == 1 or n in held, (sigma.order(), n, held)
+            n = class_order_cyclic(key)
+            assert n == 1 or n in held, (order, n, held)
         elif n > 1:
             held.add(n)
     assert skipped >= min_skipped
@@ -476,30 +500,73 @@ def test_skipped_cyclic_restrictions_repeat_a_held_divisor(name, min_skipped, mo
 
 def test_scan_builds_sigma_only_for_the_subgroups_it_processes(monkeypatch):
     """cyclic_subgroups leaves hybrid's 16 864 representatives as byte
-    keys, in the scan's order; the scan builds sigma from a key only when
-    it processes it, which on hybrid itself is the first 64."""
+    keys, in the scan's order; on hybrid itself the scan processes the
+    first 64, computes their restrictions on the keys, and builds sigma
+    from a processed key only where its restriction is a divisor > 1 not
+    computed before, or is |sigma| (where the loop search may run)."""
     g = catalog.builtin("hybrid")
     pairs, complete = cyclic_subgroups(automorphism_group(g), Config())
     assert complete and len(pairs) == 16_864
     assert all(type(key) is bytes for key, _ in pairs)
-    _, processed, _ = _replay_scan(g, monkeypatch)
-    assert [sigma.combined for sigma in processed] == [tuple(key) for key, _ in pairs[:64]]
+    _, processed, computed, built = _replay_scan(g, monkeypatch)
+    assert processed == pairs[:64]
+    held, may_build = set(), []
+    for key, order in processed:
+        n = computed.get(tuple(key))
+        if n is None:
+            continue
+        if n > 1 and n not in held:
+            held.add(n)
+            assert tuple(key) in built, (order, n)
+            may_build.append(tuple(key))
+        elif n == order:
+            may_build.append(tuple(key))
+    assert built and [key for key in may_build if key in built] == built
+
+
+def test_soccer_analyze_builds_sigma_only_where_a_report_reads_it(monkeypatch):
+    """One soccer-doubled analyze at Config() decodes at most 10 keys with
+    from_combined (one per new restriction divisor or loop search; the
+    scan's 290 restrictions are read off the keys) and constructs at most
+    160 GraphAutomorphisms: those 10 and the 150 generators."""
+    from graphperiod import autgroup, bounds, cohomology
+
+    decoded, constructed = [], []
+    real_from_combined = autgroup.from_combined
+    real_post_init = autgroup.GraphAutomorphism.__post_init__
+
+    def counting_from_combined(graph, perm):
+        decoded.append(perm)
+        return real_from_combined(graph, perm)
+
+    def counting_post_init(self):
+        constructed.append(self)
+        real_post_init(self)
+
+    for module in (bounds, cohomology):
+        monkeypatch.setattr(module, "from_combined", counting_from_combined)
+    monkeypatch.setattr(autgroup.GraphAutomorphism, "__post_init__", counting_post_init)
+    report = analyze(catalog.builtin("soccer-doubled"), Config())
+    monkeypatch.undo()
+    assert (report.period.lower, report.period.upper) == (30, 60)
+    assert 0 < len(decoded) <= 10
+    assert len(constructed) <= 160
 
 
 @pytest.mark.parametrize("name", ["soccer-doubled", "hybrid"])
 def test_skipped_loop_searches_could_not_certify(name, monkeypatch):
-    """Replay the scan's processed elements: for every sigma whose
+    """Replay the scan's processed subgroups: for every sigma whose
     restriction the scan computed as n != |sigma|, so that it ran no loop
     search, no candidate loop certifies."""
     g = catalog.builtin(name)
-    _, processed, computed = _replay_scan(g, monkeypatch)
+    _, processed, computed, _ = _replay_scan(g, monkeypatch)
     lattice = fundamental_cycle_basis(g)
     skipped = 0
-    for sigma in processed:
-        m = sigma.order()
-        if computed.get(sigma.combined, m) == m:
+    for key, m in processed:
+        if computed.get(tuple(key), m) == m:
             continue
         skipped += 1
+        sigma = from_combined(g, key)
         for loop in _scan_loops_for_sigma(lattice, sigma, m):
             verdict = period_lower_loop_summand(lattice, sigma, loop)
             assert isinstance(verdict, NotApplicable), (sigma.to_json_dict(), loop)
@@ -510,9 +577,9 @@ def test_skipped_loop_searches_could_not_certify(name, monkeypatch):
 @pytest.mark.parametrize("name,loop_tests", [("soccer-doubled", 5), ("hybrid", 2)])
 def test_loop_searches_run_only_where_the_restriction_is_the_order(name, loop_tests, monkeypatch):
     """In one analyze at Config(), invariant subgraphs included, the scan
-    computes the restriction of every sigma right before it searches loops
-    for sigma, and that restriction is |sigma|; the analyze tests exactly
-    loop_tests candidate loops."""
+    computes the restriction of every sigma, on its key, right before it
+    searches loops for sigma, and that restriction is |sigma|; the analyze
+    tests exactly loop_tests candidate loops."""
     from graphperiod import bounds, cohomology
 
     g = catalog.builtin(name)
@@ -521,13 +588,13 @@ def test_loop_searches_run_only_where_the_restriction_is_the_order(name, loop_te
     real_scan_loops = bounds._scan_loops_for_sigma
     real_loop_test = bounds.period_lower_loop_summand
 
-    def recording_class_order(sigma):
-        n = real_class_order(sigma)
-        events.append(("restriction", sigma.graph, sigma.combined, n))
+    def recording_class_order(key):
+        n = real_class_order(key)
+        events.append(("restriction", tuple(key), n))
         return n
 
     def recording_scan_loops(lattice, sigma, m):
-        events.append(("search", sigma.graph, sigma.combined, m))
+        events.append(("search", sigma.combined, m))
         return real_scan_loops(lattice, sigma, m)
 
     def counting_loop_test(lattice, sigma, loop):
@@ -541,8 +608,8 @@ def test_loop_searches_run_only_where_the_restriction_is_the_order(name, loop_te
     searches = [i for i, event in enumerate(events) if event[0] == "search"]
     assert searches
     for i in searches:
-        _, graph, _, m = events[i]
-        assert i > 0 and events[i - 1] == ("restriction", *events[i][1:]), (graph.name, m)
+        _, _, m = events[i]
+        assert i > 0 and events[i - 1] == ("restriction", *events[i][1:]), m
     assert len(tests) == loop_tests
 
 
@@ -589,7 +656,7 @@ def _check_against_the_chain_route(lattice, sigmas):
     nv = len(g.vertices)
     reversing = 0
     for sigma in sigmas:
-        assert class_order_cyclic(sigma) == _chain_class_order_cyclic(lattice, sigma), (
+        assert class_order_cyclic(sigma.combined) == _chain_class_order_cyclic(lattice, sigma), (
             sigma.to_json_dict()
         )
         m = sigma.order()
@@ -607,8 +674,8 @@ def test_cyclic_restriction_matches_the_chain_route_on_the_scan(name, monkeypatc
     SCAN_LIMIT) is the one the chain route computes; soccer-doubled's
     include sigma with a sign-reversed edge cycle, whose orbit sum is 0."""
     g = catalog.builtin(name)
-    _, processed, computed = _replay_scan(g, monkeypatch)
-    sigmas = [sigma for sigma in processed if sigma.combined in computed]
+    _, processed, computed, _ = _replay_scan(g, monkeypatch)
+    sigmas = [from_combined(g, key) for key, _ in processed if tuple(key) in computed]
     assert len(sigmas) == len(computed)
     if name == "soccer-doubled":
         assert len(sigmas) == 290
@@ -817,7 +884,7 @@ def test_a_firing_loop_summand_divides_the_cyclic_restriction(g):
     for lattice, sigma, loops in _candidate_loops(g, _limit(g)):
         if any(type(period_lower_loop_summand(lattice, sigma, loop)) is int for loop in loops):
             fired += 1
-            assert class_order_cyclic(sigma) == sigma.order(), (
+            assert class_order_cyclic(sigma.combined) == sigma.order(), (
                 sigma.to_json_dict()
             )
     if g.name == "soccer-doubled":

@@ -49,11 +49,20 @@ def test_injected_sign_fault_is_caught(monkeypatch):
 
 def test_injected_vertex_only_cyclic_order_is_caught(monkeypatch):
     """The gcd of sigma's vertex cycle lengths alone, without its edge
-    cycles, must break the cyclic-vs-bar equivalence on some instance."""
+    cycles, must break the cyclic-vs-bar equivalence on some instance.
+    The vertex points of sigma's combined permutation come first, as many
+    as the suite's current graph has vertices."""
+    graphs = []
+    real_random_multigraph = oracle.random_multigraph
 
-    def vertex_only(sigma):
-        return math.gcd(*cycle_lengths(sigma.vperm))
+    def recording_random_multigraph(rng):
+        graphs.append(real_random_multigraph(rng))
+        return graphs[-1]
 
+    def vertex_only(combined):
+        return math.gcd(*cycle_lengths(combined[: len(graphs[-1].vertices)]))
+
+    monkeypatch.setattr(oracle, "random_multigraph", recording_random_multigraph)
     monkeypatch.setattr(cohomology, "class_order_cyclic", vertex_only)
     assert oracle.suite_cyclic_vs_bar(0, instances=20)
 
