@@ -21,8 +21,9 @@ collects.
 Usage: python3 scripts/ab_bench.py --parent DIR --change DIR --workload W
        --pairs N --seed S [--seconds T]
 
---seconds defaults to run_seconds in BENCHMARK.json.  Exits 1 if a run fails
-or reports "correct": false.
+--seconds defaults to run_seconds in BENCHMARK.json.  Exits 2 on --pairs
+below 1 or --seconds not positive, and 1 if a run fails or reports
+"correct": false.
 """
 
 from __future__ import annotations
@@ -65,10 +66,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float)
     args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    if args.seconds is not None and not args.seconds > 0:
+        parser.error("--seconds must be positive")
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     metrics = bench["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}

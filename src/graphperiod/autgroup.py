@@ -114,10 +114,6 @@ class GraphAutomorphism:
         )
 
     def order(self) -> int:
-        return self._order
-
-    @cached_property
-    def _order(self) -> int:
         return permgroup.element_order(self.combined)
 
     def is_identity(self) -> bool:

@@ -34,7 +34,6 @@ from .homology import (
     orbit_sum_coefficients,
     tree_path,
 )
-from .intlinalg import axpy
 from .multigraph import GraphError, Multigraph, genus
 from .permgroup import cyclic_subgroups, orbits
 
@@ -167,22 +166,6 @@ def _json_int(x: int):
 
 
 # --- loops -----------------------------------------------------------------
-
-
-def chain_from_vertex_cycle(g: Multigraph, vertex_ids: list[str]) -> Chain:
-    """The loop through the given vertices in order, taking the smallest-id
-    edge between consecutive ones."""
-    vi = g.vertex_index
-    chain: Chain = {}
-    for a, b in zip(vertex_ids, vertex_ids[1:] + vertex_ids[:1]):
-        ia, ib = vi[a], vi[b]
-        ks = g.parallel_classes_two_way.get((ia, ib))
-        if not ks:
-            raise ValueError(f"no edge between {a!r} and {b!r}")
-        k = ks[0]
-        t, _ = g.edge_ends_idx[k]
-        chain = axpy(chain, {k: 1 if t == ia else -1})
-    return chain
 
 
 def _loop_steps(g: Multigraph, chain: Chain) -> list[tuple[int, int]] | None:
@@ -441,25 +424,6 @@ def _propagation_certs(sub: Multigraph, report: BoundsReport) -> list[Certificat
     return certs
 
 
-def _reverified_propagation(g: Multigraph, name: object, config: Config) -> list[Certificate]:
-    """Both propagation certificates of g's invariant subgraph called name,
-    from one re-analysis under _subgraph_config(config).  The result is
-    stored on g keyed by (name, config), as automorphism_group stores Aut(g),
-    so the period and the index certificate share one analysis; analyze's
-    own subgraph reports are never read, and a fresh parse analyzes anew.
-    A name that is not a str gives [] and stores nothing; an exception
-    raised by the analysis (a SoundnessError) propagates and stores nothing."""
-    if not isinstance(name, str):
-        return []
-    memo = g.__dict__.setdefault("_reverified_propagation", {})
-    key = (name, config)
-    if key not in memo:
-        sub = next((s for s in invariant_subgraphs(g, config) if s.name == name), None)
-        memo[key] = [] if sub is None else _propagation_certs(
-            sub, analyze(sub, _subgraph_config(config)))
-    return memo[key]
-
-
 # --- scanning ----------------------------------------------------------------
 
 
@@ -498,21 +462,16 @@ def _cyclic_scan(
     """Walk cyclic subgroups in the order cyclic_subgroups returns them
     (largest order first), collecting cyclic restriction orders and
     loop-summand certificates.  Every representative stays a key: the
-    restriction is read off the key, and sigma is built only where it
-    certifies a new divisor or its loops are searched.  After scan_quota
-    subgroups the scan stops early once both intervals that certs prove
-    are resolved, checked again only when certs has grown.  Certificates
-    are kept once per (rule, divisor), so a test that could only yield a
-    held divisor is skipped; a skipped sigma still counts as processed.
+    restriction of every processed subgroup is read off its key, and sigma
+    is built only where it certifies a new divisor or its loops are
+    searched.  After scan_quota subgroups the scan stops early once both
+    intervals that certs prove are resolved, checked again only when certs
+    has grown.  Certificates are kept once per (rule, divisor).
 
-    The loop rule certifies exactly m = |sigma|.  A sigma is skipped whole
-    when a LoopSummand certificate for m and a CyclicRestriction
-    certificate for every divisor d > 1 of m are held: the restricted class
-    order divides m, so it is 1 or one of those d.  Otherwise the
-    restriction is computed first, also when its divisor is already held,
-    and the loop search runs exactly where it equals m and no LoopSummand
-    for m is held; the search stops at the first loop that certifies.  A
-    skipped search could not have certified, because a loop certifies only
+    The loop rule certifies exactly m = |sigma|, so the loop search runs
+    exactly where the restriction equals m and no LoopSummand for m is
+    held; the search stops at the first loop that certifies.  A skipped
+    search could not have certified, because a loop certifies only
     where the restriction is m: say the rule fires on L = N.s, where
     N = 1 + sigma + ... + sigma^(m-1), s is a path from v to sigma(v), and
     phi is an invariant functional with phi(L) = 1.  Let P be the tree
@@ -546,14 +505,9 @@ def _cyclic_scan(
             if resolved:
                 break
         processed += 1
-        loop_held = ("LoopSummand", order) in seen
-        if loop_held and all(
-            ("CyclicRestriction", d) in seen for d in range(2, order + 1) if order % d == 0
-        ):
-            continue
         n = cohomology.class_order_cyclic(key)
         new = n > 1 and ("CyclicRestriction", n) not in seen
-        search = n == order and not loop_held
+        search = n == order and ("LoopSummand", order) not in seen
         if not (new or search):
             continue
         sigma = from_combined(g, key)
@@ -693,13 +647,11 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config = Config
     The rules that need Aut(g) get it from automorphism_group, which builds
     it once per graph object, so all certificates of a report checked
     against the same g share one group, and a fresh parse of the graph
-    builds it anew.  SubgraphPropagation re-analyzes the named subgraph
-    once per graph object and Config, and that one re-analysis gives both
-    the period and the index certificate of that subgraph; it is never
-    taken from analyze's own subgraph reports, and a fresh parse redoes it
-    (see _reverified_propagation).  A witness that does not decode against
-    g (an unknown id, a map that is not an automorphism, a chain that is
-    not closed, a missing or mistyped field) verifies False.
+    builds it anew.  SubgraphPropagation reruns analyze's propagate_subgraph
+    stage once per graph object and Config, stored on g as the group is
+    (never read from analyze's own subgraph reports).  A witness that does
+    not decode against g (an unknown id, a map that is not an automorphism,
+    a chain that is not closed, a missing or mistyped field) verifies False.
     SoundnessError propagates.
     """
     if not isinstance(cert.witness, dict):
@@ -713,8 +665,8 @@ def verify_certificate(g: Multigraph, cert: Certificate, config: Config = Config
 
 def _rebuild(g: Multigraph, cert: Certificate, config: Config) -> list[Certificate]:
     """The certificates of cert's rule that g gives for the inputs its
-    witness names: one, or every orbit certificate of g, or none when the
-    witness does not decode or the rule does not apply."""
+    witness names: one, or every orbit or propagation certificate of g, or
+    none when the witness does not decode or the rule does not apply."""
     rule, w = cert.rule, cert.witness
     if rule == "GenusIndex":
         return [_genus_cert(g)]
@@ -739,7 +691,10 @@ def _rebuild(g: Multigraph, cert: Certificate, config: Config) -> list[Certifica
         exact = cohomology.class_order_exact(homology.fundamental_cycle_basis(g), config)
         return [] if isinstance(exact, str) else [_sylow_cert(*exact)]
     if rule == "SubgraphPropagation":
-        return _reverified_propagation(g, w.get("subgraph"), config)
+        found = g.__dict__.setdefault("_propagation", {})
+        if config not in found:
+            found[config] = propagate_subgraph(g, config)[0]
+        return found[config]
     try:
         sigma = from_json_dict(g, w.get("automorphism"))
     except ValueError:

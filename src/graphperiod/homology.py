@@ -13,7 +13,7 @@ the basis coordinates of any cycle are just its values on non-tree edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .autgroup import GraphAutomorphism
 from .intlinalg import LatticeSolver, Matrix, axpy, diagonal, smith_normal_form
@@ -106,16 +106,13 @@ def tree_path(g: Multigraph, start: int, goal: int) -> Chain:
 
 @dataclass
 class CycleLattice:
-    """H_1(Gamma, Z) with a fundamental cycle basis.  Immutable after
-    construction apart from its cache: per automorphism (keyed by
-    sigma.combined) the sparse invariant-functional basis used by
-    coinvariant_primitive."""
+    """H_1(Gamma, Z) with a fundamental cycle basis; immutable after
+    construction."""
 
     graph: Multigraph
     root: int
     nontree: tuple[int, ...]
     basis: tuple[Chain, ...]
-    _coinvariant_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def rank(self) -> int:
@@ -217,11 +214,7 @@ def coinvariant_primitive(
     sending it to 1, and invariant functionals factor through the
     coinvariants.  So the test is gcd(phi(element)) == 1 over a basis of
     the invariant functionals, a gcd no choice of basis changes."""
-    key = sigma.combined
-    functionals = lattice._coinvariant_cache.get(key)
-    if functionals is None:
-        functionals = invariant_functionals(lattice.action_matrix(sigma))
-        lattice._coinvariant_cache[key] = functionals
+    functionals = invariant_functionals(lattice.action_matrix(sigma))
     values = [sum(x * coords[j] for j, x in phi.items()) for phi in functionals]
     return math.gcd(*values) == 1 if values else False
 

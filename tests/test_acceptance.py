@@ -14,7 +14,6 @@ from graphperiod.autgroup import (
 from graphperiod.bounds import (
     NotApplicable,
     analyze,
-    chain_from_vertex_cycle,
     period_lower_loop_summand,
 )
 from graphperiod.cohomology import (
@@ -28,7 +27,13 @@ from graphperiod.homology import chain_action, fundamental_cycle_basis
 from graphperiod.intlinalg import axpy
 from graphperiod.multigraph import genus
 
-from util import cyclic_elements, relabel, transfer_automorphism, vertex_cycle_automorphism
+from util import (
+    chain_from_vertex_cycle,
+    cyclic_elements,
+    relabel,
+    transfer_automorphism,
+    vertex_cycle_automorphism,
+)
 
 
 def report_line(number, text, elapsed=None):

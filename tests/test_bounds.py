@@ -23,7 +23,6 @@ from graphperiod.bounds import (
     _loop_steps,
     _scan_loops_for_sigma,
     analyze,
-    chain_from_vertex_cycle,
     index_upper_divisors,
     intervals_from_certificates,
     invariant_subgraphs,
@@ -43,7 +42,7 @@ from graphperiod.intlinalg import LatticeSolver, axpy
 from graphperiod.multigraph import Edge, Multigraph
 from graphperiod.permgroup import cyclic_subgroups, orbits, sylow_subgroup
 
-from util import identity_automorphism, vertex_cycle_automorphism
+from util import chain_from_vertex_cycle, identity_automorphism, vertex_cycle_automorphism
 
 
 def k5_setup():
@@ -476,25 +475,16 @@ def _replay_scan(g, monkeypatch):
     return report, processed, computed, built
 
 
-# hybrid certifies 4 but never 2, so none of its restrictions is skipped
-@pytest.mark.parametrize("name,min_skipped", [("soccer-doubled", 1), ("hybrid", 0)])
-def test_skipped_cyclic_restrictions_repeat_a_held_divisor(name, min_skipped, monkeypatch):
-    """Replay the scan's processed subgroups in order: every sigma whose
-    restriction the scan skipped has class order 1 or a divisor that an
-    earlier computed restriction already certified."""
+@pytest.mark.parametrize("name,count", [("soccer-doubled", 399), ("hybrid", 64)])
+def test_every_processed_subgroup_has_its_restriction_computed(name, count, monkeypatch):
+    """The scan computes the restriction of every subgroup it processes,
+    on its key, and the divisors > 1 it computes are exactly the report's
+    CyclicRestriction certificates."""
     g = catalog.builtin(name)
     report, processed, computed, _ = _replay_scan(g, monkeypatch)
-    held: set[int] = set()
-    skipped = 0
-    for key, order in processed:
-        n = computed.get(tuple(key))
-        if n is None:
-            skipped += 1
-            n = class_order_cyclic(key)
-            assert n == 1 or n in held, (order, n, held)
-        elif n > 1:
-            held.add(n)
-    assert skipped >= min_skipped
+    assert len(processed) == count
+    assert sorted(computed) == sorted(tuple(key) for key, _ in processed)
+    held = {n for n in computed.values() if n > 1}
     assert held == {c.divisor for c in report.certificates if c.rule == "CyclicRestriction"}
 
 
@@ -512,9 +502,7 @@ def test_scan_builds_sigma_only_for_the_subgroups_it_processes(monkeypatch):
     assert processed == pairs[:64]
     held, may_build = set(), []
     for key, order in processed:
-        n = computed.get(tuple(key))
-        if n is None:
-            continue
+        n = computed[tuple(key)]
         if n > 1 and n not in held:
             held.add(n)
             assert tuple(key) in built, (order, n)
@@ -527,7 +515,7 @@ def test_scan_builds_sigma_only_for_the_subgroups_it_processes(monkeypatch):
 def test_soccer_analyze_builds_sigma_only_where_a_report_reads_it(monkeypatch):
     """One soccer-doubled analyze at Config() decodes at most 10 keys with
     from_combined (one per new restriction divisor or loop search; the
-    scan's 290 restrictions are read off the keys) and constructs at most
+    scan's 399 restrictions are read off the keys) and constructs at most
     160 GraphAutomorphisms: those 10 and the 150 generators."""
     from graphperiod import autgroup, bounds, cohomology
 
@@ -563,7 +551,7 @@ def test_skipped_loop_searches_could_not_certify(name, monkeypatch):
     lattice = fundamental_cycle_basis(g)
     skipped = 0
     for key, m in processed:
-        if computed.get(tuple(key), m) == m:
+        if computed[tuple(key)] == m:
             continue
         skipped += 1
         sigma = from_combined(g, key)
@@ -675,10 +663,10 @@ def test_cyclic_restriction_matches_the_chain_route_on_the_scan(name, monkeypatc
     include sigma with a sign-reversed edge cycle, whose orbit sum is 0."""
     g = catalog.builtin(name)
     _, processed, computed, _ = _replay_scan(g, monkeypatch)
-    sigmas = [from_combined(g, key) for key, _ in processed if tuple(key) in computed]
+    sigmas = [from_combined(g, key) for key, _ in processed]
     assert len(sigmas) == len(computed)
     if name == "soccer-doubled":
-        assert len(sigmas) == 290
+        assert len(sigmas) == 399
     reversing = _check_against_the_chain_route(fundamental_cycle_basis(g), sigmas[:_limit(g)])
     if name == "soccer-doubled":
         assert reversing > 0

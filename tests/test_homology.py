@@ -10,6 +10,7 @@ from graphperiod.homology import (
     coinvariant_primitive,
     fundamental_cycle_basis,
     invariant_functional_gcd,
+    invariant_functionals,
     norm,
     orbit_sum_coefficients,
     tree_path,
@@ -19,6 +20,7 @@ from graphperiod.intlinalg import axpy, det_bareiss, diagonal
 from graphperiod.multigraph import genus
 
 from util import (
+    chain_from_vertex_cycle,
     identity_automorphism,
     relabel,
     transfer_automorphism,
@@ -176,8 +178,6 @@ def test_coinvariant_identity_primitivity():
 
 
 def test_k5_pentagon_primitive_triangle_not():
-    from graphperiod.bounds import chain_from_vertex_cycle
-
     g = catalog.builtin("k5")
     L = fundamental_cycle_basis(g)
     pentagon = L.coordinates(chain_from_vertex_cycle(g, ["v1", "v2", "v3", "v4", "v5"]))
@@ -191,8 +191,6 @@ def test_k5_pentagon_primitive_triangle_not():
 
 
 def test_primitivity_verdict_independent_of_spanning_tree():
-    from graphperiod.bounds import chain_from_vertex_cycle
-
     g = catalog.builtin("k5")
     mapping = {f"v{i}": f"w{6 - i}" for i in range(1, 6)}  # reverses id order
     h = relabel(g, mapping)
@@ -238,11 +236,10 @@ def test_coordinates_rejects_non_cycles():
         L.coordinates({0: 1})
 
 
-def test_coinvariant_primitive_one_elimination_per_automorphism(monkeypatch):
-    """One LatticeSolver elimination per automorphism, reused for every
-    element, and no Smith form on the way."""
+def test_coinvariant_primitive_one_elimination_per_call(monkeypatch):
+    """One LatticeSolver elimination per call, and no Smith form on the
+    way."""
     from graphperiod import homology
-    from graphperiod.bounds import chain_from_vertex_cycle
 
     g = catalog.builtin("k5")
     L = fundamental_cycle_basis(g)
@@ -264,7 +261,7 @@ def test_coinvariant_primitive_one_elimination_per_automorphism(monkeypatch):
         for coords in vectors
         for sigma in (rot5, rot3)
     ]
-    assert len(solvers) == 2
+    assert len(solvers) == len(verdicts)
     assert snf_calls == []
     for sigma, coords, verdict in verdicts:
         assert verdict == (invariant_functional_gcd(L, sigma, coords) == 1)
@@ -318,7 +315,7 @@ def test_invariant_functionals_from_the_echelon_match_the_smith_route(name, monk
             verdict = coinvariant_primitive(L, sigma, coords)
             assert verdict == (invariant_functional_gcd(L, sigma, coords) == 1)
         a = L.action_matrix(sigma)
-        free_rows = L._coinvariant_cache[sigma.combined]
+        free_rows = invariant_functionals(a)
         for phi in free_rows:
             assert all(
                 sum(x * (a[i][j] - (i == j)) for i, x in phi.items()) == 0 for j in range(n)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from graphperiod.autgroup import GraphAutomorphism, _lift_edge_map, from_combined
+from graphperiod.homology import Chain
+from graphperiod.intlinalg import axpy
 from graphperiod.multigraph import Edge, Multigraph
 from graphperiod.permgroup import PermutationGroup
 
@@ -27,6 +29,22 @@ def transfer_automorphism(
 
 def identity_automorphism(g: Multigraph) -> GraphAutomorphism:
     return GraphAutomorphism(g, tuple(range(len(g.vertices))), tuple(range(len(g.edges))))
+
+
+def chain_from_vertex_cycle(g: Multigraph, vertex_ids: list[str]) -> Chain:
+    """The loop through the given vertices in order, taking the smallest-id
+    edge between consecutive ones."""
+    vi = g.vertex_index
+    chain: Chain = {}
+    for a, b in zip(vertex_ids, vertex_ids[1:] + vertex_ids[:1]):
+        ia, ib = vi[a], vi[b]
+        ks = g.parallel_classes_two_way.get((ia, ib))
+        if not ks:
+            raise ValueError(f"no edge between {a!r} and {b!r}")
+        k = ks[0]
+        t, _ = g.edge_ends_idx[k]
+        chain = axpy(chain, {k: 1 if t == ia else -1})
+    return chain
 
 
 def vertex_cycle_automorphism(g: Multigraph, cycle_ids: list[str]) -> GraphAutomorphism:
